@@ -10,11 +10,12 @@
 //   - Figure 2 (the tile graph): BenchmarkFigure2TileGraph times tile-
 //     graph construction from a floorplan.
 //   - §5 observations: BenchmarkAlphaSweep (the alpha ablation),
-//     BenchmarkMinPeriod and BenchmarkWDMatrices (the retiming-engine
-//     costs that dominate planning runtime).
+//     BenchmarkMinPeriod and BenchmarkConstraintGeneration (the
+//     retiming-engine costs that dominate planning runtime).
 package lacret
 
 import (
+	"context"
 	"testing"
 
 	"lacret/internal/bench89"
@@ -147,34 +148,6 @@ func BenchmarkAlphaSweep(b *testing.B) {
 	}
 }
 
-// Retiming-engine costs (the paper's §4.2 complexity discussion: clock
-// constraints generated once; min-cost flow per weighted round).
-func BenchmarkWDMatrices(b *testing.B) {
-	r := plannedCircuit(b, "s953")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Graph.WDMatrices()
-	}
-}
-
-// Sequential vs parallel W/D construction (the same rows, one worker vs
-// GOMAXPROCS workers).
-func BenchmarkWDMatricesSequential(b *testing.B) {
-	r := plannedCircuit(b, "s953")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Graph.WDMatricesParallel(1)
-	}
-}
-
-func BenchmarkWDMatricesParallel(b *testing.B) {
-	r := plannedCircuit(b, "s953")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Graph.WDMatricesParallel(0)
-	}
-}
-
 // Full Table 1 driver over the three smallest circuits, sequential vs the
 // worker pool.
 func benchTable1(b *testing.B, jobs int) {
@@ -194,12 +167,15 @@ func benchTable1(b *testing.B, jobs int) {
 func BenchmarkTable1Sequential(b *testing.B) { benchTable1(b, 1) }
 func BenchmarkTable1Parallel(b *testing.B)   { benchTable1(b, 0) }
 
+// Retiming-engine costs (the paper's §4.2 complexity discussion: clock
+// constraints generated once; min-cost flow per weighted round). Each
+// MinPeriod iteration pays what a planning pass pays: a fresh constraint
+// source, its row sweeps, and the probes.
 func BenchmarkMinPeriod(b *testing.B) {
 	r := plannedCircuit(b, "s526")
-	wd := r.Graph.WDMatrices()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := r.Graph.MinPeriodWD(1e-3, wd); err != nil {
+		if _, _, _, err := r.Graph.MinPeriod(context.Background(), nil, 1e-3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -218,12 +194,14 @@ func BenchmarkSharingModel(b *testing.B) {
 	}
 }
 
+// BenchmarkConstraintGeneration times generation at Tclk the way the
+// constraints stage runs it: from the source the period search already
+// swept, so its rows come from the cache.
 func BenchmarkConstraintGeneration(b *testing.B) {
 	r := plannedCircuit(b, "s953")
-	wd := r.Graph.WDMatrices()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Graph.BuildConstraintsWD(r.Tclk, wd); err != nil {
+		if _, err := r.Graph.BuildConstraints(r.Tclk, r.Problem.Source); err != nil {
 			b.Fatal(err)
 		}
 	}

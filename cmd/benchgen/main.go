@@ -1,48 +1,28 @@
 // Command benchgen writes the synthetic ISCAS89-class benchmark circuits
 // to .bench files, so they can be inspected or replaced by the genuine
-// ISCAS89 netlists. With -benchjson it instead micro-benchmarks one full
-// planning pass per circuit and writes ns/op plus the key observability
-// counters as JSON — the machine-readable benchmark artifact CI uploads.
+// ISCAS89 netlists. (Planner timings come from the planbench module.)
 //
 // Usage:
 //
 //	benchgen [-out dir] [-circuit name]
-//	benchgen -benchjson BENCH_plan.json [-benchcircuits s400,s526,s953]
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
-	"testing"
 
 	"lacret/internal/bench89"
-	"lacret/internal/experiments"
 	"lacret/internal/netlist"
-	"lacret/internal/obs"
-	"lacret/internal/plan"
 )
 
 func main() {
 	var (
-		out        = flag.String("out", ".", "output directory")
-		circuit    = flag.String("circuit", "", "single circuit name (default: all)")
-		benchJSON  = flag.String("benchjson", "", "benchmark one planning pass per circuit and write ns/op + obs counters as JSON to this file (skips .bench generation)")
-		benchCircs = flag.String("benchcircuits", "s400,s526,s953", "comma-separated circuits for -benchjson")
+		out     = flag.String("out", ".", "output directory")
+		circuit = flag.String("circuit", "", "single circuit name (default: all)")
 	)
 	flag.Parse()
-
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, *benchCircs); err != nil {
-			fmt.Fprintln(os.Stderr, "benchgen:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	params := bench89.Catalog()
 	if *circuit != "" {
@@ -79,81 +59,4 @@ func main() {
 		fmt.Printf("%s: %d gates, %d FFs, %d/%d I/O -> %s\n",
 			p.Name, s.Gates, s.DFFs, s.Inputs, s.Outputs, path)
 	}
-}
-
-// benchResult is one circuit's benchmark record in the BENCH_plan.json
-// artifact.
-type benchResult struct {
-	Name        string           `json:"name"`
-	Circuit     string           `json:"circuit"`
-	NsPerOp     int64            `json:"ns_per_op"`
-	AllocsPerOp int64            `json:"allocs_per_op"`
-	BytesPerOp  int64            `json:"bytes_per_op"`
-	Counters    map[string]int64 `json:"counters"`
-}
-
-// benchFile is the artifact's top-level schema.
-type benchFile struct {
-	Schema  int           `json:"schema"`
-	Results []benchResult `json:"results"`
-}
-
-// writeBenchJSON benchmarks one uninstrumented planning pass per circuit
-// (testing.Benchmark picks the iteration count), then runs one observed pass
-// to harvest the registry counters — the work profile behind the timing.
-func writeBenchJSON(path, circuits string) error {
-	out := benchFile{Schema: 1}
-	for _, name := range strings.Split(circuits, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		p, ok := bench89.ByName(name)
-		if !ok {
-			return fmt.Errorf("unknown circuit %q", name)
-		}
-		nl, err := bench89.Generate(p)
-		if err != nil {
-			return err
-		}
-		cfg := experiments.DefaultConfig()
-		cfg.Seed = p.Seed
-		// One checked pass up front, so a planning failure surfaces as an
-		// error instead of a meaningless timing.
-		if _, err := plan.Plan(nl, cfg); err != nil {
-			return fmt.Errorf("%s: %v", name, err)
-		}
-		br := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := plan.Plan(nl, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		rec := obs.NewRecorder()
-		ctx := obs.NewContext(context.Background(), rec)
-		if _, err := plan.PlanIterationsContext(ctx, nl, cfg, 1); err != nil {
-			return fmt.Errorf("%s: %v", name, err)
-		}
-		out.Results = append(out.Results, benchResult{
-			Name:        "Plan/" + name,
-			Circuit:     name,
-			NsPerOp:     br.NsPerOp(),
-			AllocsPerOp: br.AllocsPerOp(),
-			BytesPerOp:  br.AllocedBytesPerOp(),
-			Counters:    rec.Registry().Snapshot().Counters,
-		})
-		fmt.Printf("%s: %d ns/op  %d B/op  %d allocs/op\n",
-			name, br.NsPerOp(), br.AllocedBytesPerOp(), br.AllocsPerOp())
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
 }

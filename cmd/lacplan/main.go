@@ -52,14 +52,8 @@ func main() {
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event file (load in chrome://tracing or Perfetto) to this file")
 		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof and expvar live gauges on this address (e.g. localhost:8077)")
 		checkRep   = flag.String("check-report", "", "validate a previously written run report (schema version + structure) and exit")
-		engine     = flag.String("probe-engine", "", "constraint engine for the period search: dense, lazy, or auto (default auto: by vertex count)")
 	)
 	flag.Parse()
-
-	if err := runcfg.ValidateEngine(*engine); err != nil {
-		fmt.Fprintln(os.Stderr, "lacplan:", err)
-		os.Exit(2)
-	}
 
 	if *checkRep != "" {
 		data, err := os.ReadFile(*checkRep)
@@ -93,7 +87,7 @@ func main() {
 		Blocks: *blocks, Whitespace: *ws,
 		Alpha: *alpha, AlphaSet: true, // an explicit -alpha 0 freezes the weights
 		Nmax: *nmax, TclkSlack: *slack, Tclk: *tclk, Seed: *seed,
-		Iterations: *iterations, Budget: *budget, Engine: *engine,
+		Iterations: *iterations, Budget: *budget,
 	}.Request(src)
 	req.Normalize()
 	if err := req.Validate(); err != nil {
@@ -244,14 +238,10 @@ func reportPartial(res *plan.Result) {
 	}
 }
 
-// formatProbeMem renders the constraint engine's memory accounting: resident
-// matrix bytes for the dense engine, cache/sweep counters for the lazy one.
-func formatProbeMem(engine string, mem retime.SourceMem) string {
-	if engine == plan.ProbeEngineLazy {
-		return fmt.Sprintf("(%d sweeps, %d abandoned, cache %d rows / %d pairs, %d evictions, %d hits)",
-			mem.Sweeps, mem.Abandoned, mem.CachedRows, mem.CachedPairs, mem.Evictions, mem.Hits)
-	}
-	return fmt.Sprintf("(W/D matrices %.1f MB)", float64(mem.DenseBytes)/(1<<20))
+// formatProbeMem renders the constraint source's cache and sweep counters.
+func formatProbeMem(mem retime.SourceMem) string {
+	return fmt.Sprintf("%d sweeps, %d abandoned, cache %d rows / %d pairs, %d evictions, %d hits",
+		mem.Sweeps, mem.Abandoned, mem.CachedRows, mem.CachedPairs, mem.Evictions, mem.Hits)
 }
 
 func report(res *plan.Result, tilemap, verbose bool) {
@@ -268,9 +258,7 @@ func report(res *plan.Result, tilemap, verbose bool) {
 		fmt.Printf("period probes: %d (%d warm, %d witness-rejected)  pairs scanned: %d of %d indexed\n",
 			res.Probe.Probes, res.Probe.Warm, res.Probe.WitnessRejects, res.Probe.PairsScanned, res.Probe.IndexPairs)
 	}
-	if res.ProbeEngine != "" {
-		fmt.Printf("constraint engine: %s  %s\n", res.ProbeEngine, formatProbeMem(res.ProbeEngine, res.ProbeMem))
-	}
+	fmt.Printf("constraint source: %s\n", formatProbeMem(res.ProbeMem))
 	if res.TminLo > 0 {
 		fmt.Printf("period search truncated at budget: true Tmin in (%.3f, %.3f] ns (bracket width %.3f ns)\n",
 			res.TminLo, res.Tmin, res.Tmin-res.TminLo)

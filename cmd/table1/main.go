@@ -43,14 +43,8 @@ func main() {
 		reportDir = flag.String("report", "", "write one versioned JSON run report per circuit into this directory")
 		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event file of the worker-pool timeline to this file")
 		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof and expvar live gauges on this address (e.g. localhost:8077)")
-		engine    = flag.String("probe-engine", "", "constraint engine for the period search: dense, lazy, or auto (default auto: by vertex count)")
 	)
 	flag.Parse()
-
-	if err := runcfg.ValidateEngine(*engine); err != nil {
-		fmt.Fprintln(os.Stderr, "table1:", err)
-		os.Exit(2)
-	}
 
 	// SIGINT/SIGTERM cancel the context: in-flight circuits stop at their
 	// next stage boundary, unstarted ones are marked, and the table of
@@ -75,7 +69,6 @@ func main() {
 		TclkSlack:  *slack,
 		Seed:       *seed,
 		Budget:     *budget,
-		Engine:     *engine,
 	}.Config()
 	reqCfg.Normalize()
 	if err := reqCfg.Validate(); err != nil {

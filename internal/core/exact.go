@@ -23,7 +23,7 @@ func (p *Problem) SolveExact() (*Result, error) {
 	cs := p.Constraints
 	if cs == nil {
 		var err error
-		cs, err = p.Graph.BuildConstraints(p.Tclk)
+		cs, err = p.buildConstraints()
 		if err != nil {
 			return nil, err
 		}

@@ -45,25 +45,21 @@ type Problem struct {
 	// FFArea is the area of one flip-flop.
 	FFArea float64
 	// Constraints optionally supplies a prebuilt constraint system for
-	// Graph at Tclk (for example reusing W/D matrices); when nil, Solve
-	// builds it.
+	// Graph at Tclk (the planner's, generated once per §4.2); when nil,
+	// Solve builds it.
 	Constraints *retime.Constraints
-	// Source optionally supplies the constraint engine the planner
-	// selected (dense matrices or the lazy sweep engine). When
-	// Constraints is nil, constraint systems are regenerated through it
-	// instead of materializing fresh dense W/D matrices; pair sets are
-	// identical either way.
+	// Source optionally supplies the constraint source the planner's
+	// period search ran on. When Constraints is nil, constraint systems
+	// are regenerated through it, reusing its cached rows, instead of
+	// through a fresh one-shot source; pair sets are identical either way.
 	Source retime.ConstraintSource
 }
 
 // buildConstraints regenerates the constraint system at Tclk through the
-// planner's constraint engine when one is attached, falling back to a
-// fresh dense build.
+// planner's constraint source when one is attached (a nil Source builds a
+// one-shot one).
 func (p *Problem) buildConstraints() (*retime.Constraints, error) {
-	if p.Source != nil {
-		return p.Graph.BuildConstraintsFrom(p.Tclk, p.Source)
-	}
-	return p.Graph.BuildConstraints(p.Tclk)
+	return p.Graph.BuildConstraints(p.Tclk, p.Source)
 }
 
 // Options tunes the LAC loop.

@@ -191,7 +191,7 @@ func TestProblemValidation(t *testing.T) {
 
 func TestConstraintReuse(t *testing.T) {
 	p := tightLoose()
-	cs, err := p.Graph.BuildConstraints(p.Tclk)
+	cs, err := p.Graph.BuildConstraints(p.Tclk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

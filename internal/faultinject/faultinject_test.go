@@ -137,10 +137,17 @@ func TestMinPeriodBracketInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	rg := res.Graph
-	wd := rg.WDMatrices()
+	feasible := func(T float64) bool {
+		cs, err := rg.BuildConstraints(T, nil)
+		if err != nil {
+			return false
+		}
+		_, ok := cs.Feasible(rg)
+		return ok
+	}
 	for k := 1; ; k++ {
 		ctx := CancelAtNth(k)
-		_, _, err := rg.MinPeriodWDContext(ctx, 1e-3, wd)
+		_, _, _, err := rg.MinPeriod(ctx, nil, 1e-3)
 		ctx.Cancel()
 		if err == nil {
 			break // the search finished before the kth checkpoint
@@ -153,10 +160,10 @@ func TestMinPeriodBracketInvariant(t *testing.T) {
 		if p.Hi <= p.Lo {
 			t.Fatalf("cancel@%d: degenerate bracket (%g, %g]", k, p.Lo, p.Hi)
 		}
-		if _, ok := rg.FeasiblePeriod(p.Hi, wd); !ok {
+		if !feasible(p.Hi) {
 			t.Fatalf("cancel@%d: bracket Hi %g not feasible", k, p.Hi)
 		}
-		if _, ok := rg.FeasiblePeriod(p.Lo, wd); ok {
+		if feasible(p.Lo) {
 			t.Fatalf("cancel@%d: bracket Lo %g unexpectedly feasible", k, p.Lo)
 		}
 		if cerr := rg.CheckFeasible(p.R, p.Hi); cerr != nil {

@@ -102,7 +102,7 @@ func (sv *WDSolver) FromSourceAbove(s int, delay []float64, cut float64, suffix 
 	}
 	// Phase 1: bucket-queue shortest paths for W — identical to FromSource
 	// (pruning here would corrupt the register counts and the tightness
-	// tests downstream consumers share with the dense matrices).
+	// tests downstream consumers share with the exact all-pairs sweep).
 	w[s] = 0
 	bk := sv.buckets
 	for i := range bk {

@@ -119,9 +119,23 @@ type ReqConfig struct {
 	// milliseconds (0 = unbounded); anytime stages degrade to best-so-far
 	// at the deadline.
 	BudgetMS int64 `json:"budget_ms,omitempty"`
-	// ProbeEngine selects the period-search constraint engine: "dense",
-	// "lazy", or "auto" ("" = auto).
+	// ProbeEngine is accepted and ignored. It once chose between two
+	// constraint engines; the planner now has one. Requests from older
+	// clients that still send "auto", "dense" or "lazy" keep decoding
+	// (the service rejects unknown JSON fields): Normalize clears those
+	// values, so all of them share one digest, and Validate rejects any
+	// other value, as it always did.
 	ProbeEngine string `json:"probe_engine,omitempty"`
+}
+
+// legacyProbeEngine reports whether s is a value ProbeEngine ever
+// accepted.
+func legacyProbeEngine(s string) bool {
+	switch s {
+	case "", "auto", "dense", "lazy":
+		return true
+	}
+	return false
 }
 
 // Normalize fills the defaulted fields in place so that equivalent
@@ -139,8 +153,8 @@ func (c *ReqConfig) Normalize() {
 	if c.Iterations == 0 {
 		c.Iterations = 1
 	}
-	if c.ProbeEngine == "" {
-		c.ProbeEngine = plan.ProbeEngineAuto
+	if legacyProbeEngine(c.ProbeEngine) {
+		c.ProbeEngine = ""
 	}
 }
 
@@ -175,11 +189,9 @@ func (c ReqConfig) Validate() error {
 	if c.BudgetMS < 0 {
 		return fmt.Errorf("job: negative budget_ms %d", c.BudgetMS)
 	}
-	switch c.ProbeEngine {
-	case plan.ProbeEngineAuto, plan.ProbeEngineDense, plan.ProbeEngineLazy:
-	default:
-		return fmt.Errorf("job: unknown probe engine %q (want %s, %s or %s)",
-			c.ProbeEngine, plan.ProbeEngineDense, plan.ProbeEngineLazy, plan.ProbeEngineAuto)
+	if !legacyProbeEngine(c.ProbeEngine) {
+		return fmt.Errorf("job: unknown probe engine %q (want auto, dense or lazy; all three are ignored)",
+			c.ProbeEngine)
 	}
 	return nil
 }
@@ -196,7 +208,6 @@ func (c ReqConfig) PlanConfig() plan.Config {
 		Seed:         c.Seed,
 		LAC:          core.Options{Alpha: 0.2, Nmax: c.Nmax, MaxIters: c.MaxIters},
 		Budget:       plan.Budget{Wall: time.Duration(c.BudgetMS) * time.Millisecond},
-		ProbeEngine:  c.ProbeEngine,
 	}
 	if c.Alpha != nil {
 		// An explicit alpha — including 0, which freezes the tile weights —
@@ -268,7 +279,7 @@ func (r *PlanRequest) PlanConfig() plan.Config {
 
 // digestVersion prefixes every digest; bump it when the encoding below
 // changes shape so stale caches can never alias new requests.
-const digestVersion = "lacret-req-v1"
+const digestVersion = "lacret-req-v2"
 
 // Digest returns the request's content address: a SHA-256 over a stable
 // field-by-field encoding (fixed order, NUL-separated tags, exact
@@ -302,6 +313,5 @@ func (r *PlanRequest) Digest() string {
 	wi("seed", r.Config.Seed)
 	wi("iterations", int64(r.Config.Iterations))
 	wi("budget_ms", r.Config.BudgetMS)
-	ws("engine", r.Config.ProbeEngine)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -45,6 +45,29 @@ func TestDigestNormalizedEquivalence(t *testing.T) {
 	}
 }
 
+// TestProbeEngineIgnored pins the wire compatibility of the retired engine
+// choice: every value older clients could send normalizes away, so all
+// four requests share one digest, and the field never reaches the planner.
+func TestProbeEngineIgnored(t *testing.T) {
+	var digests []string
+	for _, engine := range []string{"", "auto", "dense", "lazy"} {
+		req := job.PlanRequest{Source: job.Source{Circuit: "s386"}, Config: job.ReqConfig{ProbeEngine: engine}}
+		req.Normalize()
+		if err := req.Validate(); err != nil {
+			t.Fatalf("probe_engine %q rejected: %v", engine, err)
+		}
+		if req.Config.ProbeEngine != "" {
+			t.Fatalf("probe_engine %q survived Normalize as %q", engine, req.Config.ProbeEngine)
+		}
+		digests = append(digests, req.Digest())
+	}
+	for i, d := range digests[1:] {
+		if d != digests[0] {
+			t.Fatalf("request %d digests differently from the default: %s vs %s", i+1, d, digests[0])
+		}
+	}
+}
+
 // TestDigestCatalogSeed pins the experiments convention: seed 0 on a
 // catalog circuit is that circuit's catalog seed, so both spellings share a
 // digest (and therefore a cache entry).

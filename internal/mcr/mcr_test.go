@@ -1,6 +1,7 @@
 package mcr
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -104,7 +105,7 @@ func TestMCRLowerBoundsMinPeriod(t *testing.T) {
 		if rg.Validate() != nil {
 			continue
 		}
-		tmin, _, err := rg.MinPeriod(1e-5)
+		tmin, _, _, err := rg.MinPeriod(context.Background(), nil, 1e-5)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

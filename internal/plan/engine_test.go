@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"lacret/internal/bench89"
@@ -8,8 +10,14 @@ import (
 	"lacret/internal/retime"
 )
 
-func planS400(t *testing.T, engine string) *Result {
-	t.Helper()
+// TestPlanGoldenS400Engine pins what TestPlanGoldenS400 does not: the
+// LAC labeling and constraint count of the golden s400 plan (recorded
+// when the W/D-matrix engine still planned this circuit, so the lazy
+// source must reproduce it bit for bit), and the source's accounting.
+func TestPlanGoldenS400Engine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("catalog circuit in short mode")
+	}
 	p, ok := bench89.ByName("s400")
 	if !ok {
 		t.Fatal("no s400 in catalog")
@@ -20,117 +28,38 @@ func planS400(t *testing.T, engine string) *Result {
 	}
 	res, err := Plan(nl, Config{
 		Seed: p.Seed, Whitespace: 0.13, TclkSlack: 0.2,
-		LAC:         core.Options{Alpha: 0.2, Nmax: 5, MaxIters: 20},
-		ProbeEngine: engine,
+		LAC: core.Options{Alpha: 0.2, Nmax: 5, MaxIters: 20},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
-}
-
-// TestPlanGoldenS400BothEngines pins the golden s400 plan under an explicit
-// engine choice: the dense and lazy constraint engines must produce the
-// bit-identical plan (and the same golden values TestPlanGoldenS400 pins
-// for the auto path).
-func TestPlanGoldenS400BothEngines(t *testing.T) {
-	if testing.Short() {
-		t.Skip("catalog circuit in short mode")
+	if res.Tmin != 3.0401092935255556 || res.Tclk != 4.6144248994400368 {
+		t.Errorf("Tmin %.17g Tclk %.17g, want the golden 3.0401092935255556 / 4.6144248994400368",
+			res.Tmin, res.Tclk)
 	}
-	dense := planS400(t, ProbeEngineDense)
-	lazy := planS400(t, ProbeEngineLazy)
-	if dense.ProbeEngine != ProbeEngineDense || lazy.ProbeEngine != ProbeEngineLazy {
-		t.Fatalf("engines resolved to %q / %q", dense.ProbeEngine, lazy.ProbeEngine)
+	if n := len(res.Problem.Constraints.Cons); n != 4908 {
+		t.Errorf("%d constraints at Tclk, want 4908", n)
 	}
-	exact := func(name string, got, want float64) {
-		if got != want {
-			t.Errorf("%s: lazy %.17g != dense %.17g", name, got, want)
-		}
+	// FNV-1a over the labels written as "r0,r1,...,": a compact pin of all
+	// 665 labels.
+	h := fnv.New64a()
+	for _, r := range res.LAC.R {
+		fmt.Fprintf(h, "%d,", r)
 	}
-	exact("Tinit", lazy.Tinit, dense.Tinit)
-	exact("Tmin", lazy.Tmin, dense.Tmin)
-	exact("Tclk", lazy.Tclk, dense.Tclk)
-	exact("RouteWirelength", lazy.RouteWirelength, dense.RouteWirelength)
-	for _, c := range []struct {
-		name      string
-		got, want int
-	}{
-		{"MinArea.NFOA", lazy.MinArea.NFOA, dense.MinArea.NFOA},
-		{"MinArea.NF", lazy.MinArea.NF, dense.MinArea.NF},
-		{"LAC.NFOA", lazy.LAC.NFOA, dense.LAC.NFOA},
-		{"LAC.NF", lazy.LAC.NF, dense.LAC.NF},
-		{"LAC.NWR", lazy.LAC.NWR, dense.LAC.NWR},
-		{"RepeaterCount", lazy.RepeaterCount, dense.RepeaterCount},
-	} {
-		if c.got != c.want {
-			t.Errorf("%s: lazy %d != dense %d", c.name, c.got, c.want)
-		}
+	if got := h.Sum64(); len(res.LAC.R) != 665 || got != 0x58534ae3ab78d13 {
+		t.Errorf("LAC labeling: %d labels, hash %#x; want 665, 0x58534ae3ab78d13", len(res.LAC.R), got)
 	}
-	// Cross-check against the pre-refactor golden values directly so both
-	// engines stay pinned even if the dense run drifts.
-	exact("dense Tmin vs golden", dense.Tmin, 3.0401092935255556)
-	exact("dense Tclk vs golden", dense.Tclk, 4.6144248994400368)
-	// And the engines report coherent accounting: the dense run holds the
-	// matrices, the lazy run swept rows without them.
-	if dense.ProbeMem.DenseBytes == 0 {
-		t.Error("dense run reports no matrix bytes")
+	if res.ProbeMem.Sweeps == 0 {
+		t.Error("source reports no sweeps")
 	}
-	if lazy.ProbeMem.DenseBytes != 0 {
-		t.Error("lazy run reports dense matrix bytes")
+	if res.ProbeMem.DenseBytes != 0 {
+		t.Error("source reports dense matrix bytes")
 	}
-	if lazy.ProbeMem.Sweeps == 0 {
-		t.Error("lazy run reports no sweeps")
-	}
-	if lazy.LAC == nil || len(lazy.LAC.R) != len(dense.LAC.R) {
-		t.Fatal("labeling lengths differ")
-	}
-	for i := range lazy.LAC.R {
-		if lazy.LAC.R[i] != dense.LAC.R[i] {
-			t.Fatalf("LAC labeling differs at vertex %d: lazy %d dense %d",
-				i, lazy.LAC.R[i], dense.LAC.R[i])
-		}
-	}
-}
-
-// TestResolveProbeEngine pins auto-selection by vertex count and explicit
-// overrides.
-func TestResolveProbeEngine(t *testing.T) {
-	small, big := LazyEngineThreshold-1, LazyEngineThreshold
-	for _, c := range []struct {
-		cfg  string
-		n    int
-		want string
-	}{
-		{"", small, ProbeEngineDense},
-		{"", big, ProbeEngineLazy},
-		{ProbeEngineAuto, small, ProbeEngineDense},
-		{ProbeEngineAuto, big, ProbeEngineLazy},
-		{ProbeEngineDense, big, ProbeEngineDense},
-		{ProbeEngineLazy, small, ProbeEngineLazy},
-	} {
-		cfg := &Config{ProbeEngine: c.cfg}
-		if got := resolveProbeEngine(cfg, c.n); got != c.want {
-			t.Errorf("resolveProbeEngine(%q, %d) = %q, want %q", c.cfg, c.n, got, c.want)
-		}
-	}
-}
-
-// TestConfigRejectsUnknownProbeEngine: NewState validates the engine name.
-func TestConfigRejectsUnknownProbeEngine(t *testing.T) {
-	nl := smallCircuit(t)
-	if _, err := NewState(nl, &Config{ProbeEngine: "eager"}); err == nil {
-		t.Fatal("unknown ProbeEngine accepted")
-	}
-	st, err := NewState(nl, &Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = st
 }
 
 // TestProblemSourceRegeneratesConstraints: a core Problem carrying only the
-// engine (no prebuilt constraint system) regenerates the same system the
-// dense build produces.
+// planner's constraint source (no prebuilt constraint system) regenerates
+// the system the planner built.
 func TestProblemSourceRegeneratesConstraints(t *testing.T) {
 	nl := smallCircuit(t)
 	res, err := Plan(nl, Config{Seed: 1})

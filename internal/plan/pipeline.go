@@ -172,10 +172,9 @@ type PlanState struct {
 	TileOf   []int // capacity tile per retiming-graph vertex
 	VertexOf map[netlist.NodeID]int
 
-	// Periods / constraints stages. Source is the constraint engine the
-	// periods stage selected (dense matrices or the lazy sweep engine);
-	// the constraints stage and the LAC problem regenerate clock
-	// constraints through it.
+	// Periods / constraints stages. Source is the constraint source the
+	// periods stage built and searched on; the constraints stage and the
+	// LAC problem regenerate clock constraints through it.
 	Source      retime.ConstraintSource
 	Constraints *retime.Constraints
 
@@ -234,15 +233,6 @@ func NewState(nl *netlist.Netlist, cfg *Config) (*PlanState, error) {
 	}
 	if cfg.BalanceTol == 0 {
 		cfg.BalanceTol = 0.1
-	}
-	if cfg.ProbeEngine == "" {
-		cfg.ProbeEngine = ProbeEngineAuto
-	}
-	switch cfg.ProbeEngine {
-	case ProbeEngineAuto, ProbeEngineDense, ProbeEngineLazy:
-	default:
-		return nil, fmt.Errorf("plan: unknown ProbeEngine %q (want %s, %s or %s)",
-			cfg.ProbeEngine, ProbeEngineAuto, ProbeEngineDense, ProbeEngineLazy)
 	}
 	return &PlanState{
 		Netlist: nl, Tech: tc, Stats: stats,

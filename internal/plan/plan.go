@@ -68,13 +68,6 @@ type Config struct {
 	TclkOverride float64
 	// LAC tunes the adaptive loop.
 	LAC core.Options
-	// ProbeEngine selects the constraint engine behind the period search
-	// and constraint generation: ProbeEngineDense materializes the O(V²)
-	// W/D matrices (the classical path), ProbeEngineLazy runs per-source
-	// sweeps on demand with O(V)-per-worker memory, and ProbeEngineAuto
-	// (or empty) picks by vertex count (LazyEngineThreshold). Results are
-	// bit-identical across engines.
-	ProbeEngine string
 	// Budget bounds the wall-clock time of one planning pass; the zero
 	// value disables budgeting entirely (bit-identical to pre-budget
 	// behavior). See Budget.
@@ -171,12 +164,8 @@ type Result struct {
 	// Probe is the work profile of the minimum-period search's incremental
 	// feasibility solver (warm probes, pairs scanned, witness rejects).
 	Probe retime.ProbeStats
-	// ProbeEngine is the constraint engine the periods stage actually ran
-	// ("dense" or "lazy" — auto is resolved before the stage runs).
-	ProbeEngine string
-	// ProbeMem is the engine's memory/work accounting at the end of the
-	// pass (dense matrix bytes, or the lazy engine's cache and sweep
-	// counters).
+	// ProbeMem is the constraint source's memory/work accounting at the
+	// end of the pass (row-cache size, sweep and eviction counters).
 	ProbeMem retime.SourceMem
 
 	MinArea *core.Result

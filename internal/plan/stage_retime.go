@@ -11,78 +11,34 @@ import (
 	"lacret/internal/retime"
 )
 
-// ProbeEngine values for Config.ProbeEngine.
-const (
-	ProbeEngineAuto  = "auto"
-	ProbeEngineDense = "dense"
-	ProbeEngineLazy  = "lazy"
-)
-
-// LazyEngineThreshold is the vertex count at which ProbeEngineAuto switches
-// from the dense W/D matrices to the lazy sweep engine. Below it the dense
-// build is cheap (a few MB, milliseconds) and its rows amortize across the
-// whole pass; above it the O(V²) footprint dominates the pass — 47k
-// vertices (s5378 as planned) already means ~27 GB of matrices.
-const LazyEngineThreshold = 20000
-
-// resolveProbeEngine maps the configured engine to the one that runs,
-// settling "auto" by vertex count.
-func resolveProbeEngine(cfg *Config, n int) string {
-	switch cfg.ProbeEngine {
-	case ProbeEngineDense, ProbeEngineLazy:
-		return cfg.ProbeEngine
-	}
-	if n >= LazyEngineThreshold {
-		return ProbeEngineLazy
-	}
-	return ProbeEngineDense
-}
-
 // periodsStage derives the timing envelope of the as-planned design: the
 // initial period Tinit, the optimal retimed period Tmin, and the target
-// Tclk. It selects and builds the pass's constraint engine (dense W/D
-// matrices or the lazy per-source sweep engine, Config.ProbeEngine), which
-// the constraints stage reuses for generation at Tclk.
+// Tclk. It builds the pass's constraint source (the lazy per-source sweep
+// engine), which the constraints stage reuses for generation at Tclk.
 type periodsStage struct{}
 
 func (periodsStage) Name() string { return stagePeriods }
 
-// buildConstraintSource constructs the pass's constraint engine over the
+// buildConstraintSource constructs the pass's constraint source over the
 // retiming graph — shared by the regular periods run and the
-// checkpoint-resume path, which must rebuild the exact same engine without
-// re-running the period search.
-func buildConstraintSource(rg *retime.Graph, engine string) (retime.ConstraintSource, error) {
-	if engine == ProbeEngineLazy {
-		// Floor at the search's lower bracket end (the maximum vertex
-		// delay): no probe, and no later constraint generation at
-		// Tclk >= Tmin >= floor, ever asks below it.
-		floor := 0.0
-		for v := 0; v < rg.N(); v++ {
-			if d := rg.Delay(v); d > floor {
-				floor = d
-			}
-		}
-		return retime.NewLazySource(rg, floor, 0), nil
-	}
-	return retime.NewDenseSource(rg, rg.WDMatrices(), 0)
+// checkpoint-resume path, which must rebuild the exact same source without
+// re-running the period search. It is floored at the search's lower
+// bracket end (the maximum vertex delay): no probe, and no later
+// constraint generation at Tclk >= Tmin >= floor, ever asks below it.
+func buildConstraintSource(rg *retime.Graph) retime.ConstraintSource {
+	return retime.NewLazySource(rg, rg.MaxDelay(), 0)
 }
 
 func (periodsStage) Run(ctx context.Context, st *PlanState, cfg *Config) error {
 	rg, res := st.Result.Graph, st.Result
-	engine := resolveProbeEngine(cfg, rg.N())
 	reg := obs.FromContext(ctx).Registry()
 	if rp := st.restoredPeriods; rp != nil {
 		// Checkpoint resume: the search outcome is already known. Rebuild
-		// only the constraint engine (the graph stage re-ran, so the graph
+		// only the constraint source (the graph stage re-ran, so the graph
 		// is fresh) and adopt the restored envelope; the probe counters
 		// stay zero — the proof the search was skipped, not repeated.
-		src, err := buildConstraintSource(rg, engine)
-		if err != nil {
-			return err
-		}
+		src := buildConstraintSource(rg)
 		st.Source = src
-		res.ProbeEngine = engine
-		reg.Status("retime.probe_engine").Set(engine)
 		res.ProbeMem = src.Mem()
 		emitSourceGauges(reg, res.ProbeMem)
 		res.Tinit, res.Tmin, res.TminLo, res.Tclk = rp.Tinit, rp.Tmin, rp.TminLo, rp.Tclk
@@ -95,13 +51,8 @@ func (periodsStage) Run(ctx context.Context, st *PlanState, cfg *Config) error {
 	if err != nil {
 		return err
 	}
-	src, err := buildConstraintSource(rg, engine)
-	if err != nil {
-		return err
-	}
-	res.ProbeEngine = engine
-	reg.Status("retime.probe_engine").Set(engine)
-	tmin, _, pstats, err := rg.MinPeriodSourceStatsContext(ctx, 1e-3, src)
+	src := buildConstraintSource(rg)
+	tmin, _, pstats, err := rg.MinPeriod(ctx, src, 1e-3)
 	res.Probe = pstats
 	var tminLo float64
 	if err != nil {
@@ -128,11 +79,9 @@ func (periodsStage) Run(ctx context.Context, st *PlanState, cfg *Config) error {
 	return nil
 }
 
-// emitSourceGauges publishes the constraint engine's memory accounting:
-// the dense matrices' resident bytes, and the lazy engine's row-cache size
-// and eviction/sweep counters.
+// emitSourceGauges publishes the constraint source's memory accounting:
+// the row-cache size and eviction/sweep counters.
 func emitSourceGauges(reg *obs.Registry, mem retime.SourceMem) {
-	reg.Gauge("retime.dense_wd_bytes").Set(float64(mem.DenseBytes))
 	reg.Gauge("retime.rowcache_rows").Set(float64(mem.CachedRows))
 	reg.Gauge("retime.rowcache_pairs").Set(float64(mem.CachedPairs))
 	reg.Gauge("retime.rowcache_evictions").Set(float64(mem.Evictions))
@@ -152,22 +101,13 @@ func (periodsStage) Counters(st *PlanState) []Counter {
 		{"pairs_scanned", float64(res.Probe.PairsScanned)},
 	}
 	mem := res.ProbeMem
-	if res.ProbeEngine == ProbeEngineLazy {
-		cs = append(cs,
-			Counter{"engine_lazy", 1},
-			Counter{"rowcache_rows", float64(mem.CachedRows)},
-			Counter{"rowcache_pairs", float64(mem.CachedPairs)},
-			Counter{"rowcache_evictions", float64(mem.Evictions)},
-			Counter{"sweeps", float64(mem.Sweeps)},
-			Counter{"sweeps_abandoned", float64(mem.Abandoned)},
-		)
-	} else {
-		cs = append(cs,
-			Counter{"engine_lazy", 0},
-			Counter{"dense_wd_bytes", float64(mem.DenseBytes)},
-		)
-	}
-	return cs
+	return append(cs,
+		Counter{"rowcache_rows", float64(mem.CachedRows)},
+		Counter{"rowcache_pairs", float64(mem.CachedPairs)},
+		Counter{"rowcache_evictions", float64(mem.Evictions)},
+		Counter{"sweeps", float64(mem.Sweeps)},
+		Counter{"sweeps_abandoned", float64(mem.Abandoned)},
+	)
 }
 
 // constraintsStage generates the clock/edge/pin constraint system at Tclk
@@ -179,10 +119,10 @@ func (constraintsStage) Name() string { return stageConstraints }
 
 func (constraintsStage) Run(ctx context.Context, st *PlanState, cfg *Config) error {
 	rg, res := st.Result.Graph, st.Result
-	cs, err := rg.BuildConstraintsFrom(res.Tclk, st.Source)
-	// Constraint generation pulls rows from the same engine the search
-	// used, so refresh the engine accounting: after a budget-truncated
-	// search this is where a lazy engine does most of its sweeping.
+	cs, err := rg.BuildConstraints(res.Tclk, st.Source)
+	// Constraint generation pulls rows from the same source the search
+	// used, so refresh its accounting: after a budget-truncated search
+	// this is where the source does most of its sweeping.
 	res.ProbeMem = st.Source.Mem()
 	emitSourceGauges(obs.FromContext(ctx).Registry(), res.ProbeMem)
 	if err != nil {

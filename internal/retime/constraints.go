@@ -24,9 +24,9 @@ type Constraints struct {
 	// Counts by origin, for diagnostics.
 	EdgeCount, ClockCount, PinCount int
 
-	// Solver-layout copy of Cons (us/vs/bounds triples), built once by
-	// BuildConstraintsWD so repeated Feasible probes against the same
-	// system do not re-allocate it. Lazily rebuilt if Cons is mutated.
+	// Solver-layout copy of Cons (us/vs/bounds triples), built on first
+	// use so repeated Feasible probes against the same system do not
+	// re-allocate it. Lazily rebuilt if Cons is mutated.
 	us, vs, bs []int
 }
 
@@ -94,8 +94,8 @@ func (rg *Graph) PinConstraints() []Constraint {
 	return cons
 }
 
-// ClockConstraints generates the period constraints for target T from
-// precomputed W/D matrices: for every ordered pair (u,v) with D(u,v) > T,
+// ClockConstraints generates the period constraints for target T from a
+// ConstraintSource: for every ordered pair (u,v) with D(u,v) > T,
 // r(u) − r(v) ≤ W(u,v) − 1 (Leiserson–Saxe condition 2).
 //
 // Constraints are pruned by a dominance rule (in the spirit of the
@@ -109,25 +109,14 @@ func (rg *Graph) PinConstraints() []Constraint {
 //
 // Pruning chains terminate because tight edges form a DAG. Only the
 // frontier where D first crosses T survives, which shrinks the system by
-// orders of magnitude.
+// orders of magnitude. The candidate test and dominance rule live in the
+// source's rows (SourcePair.DPrune), so generation reduces to a per-row
+// activation filter. T must be above the source's floor (rows do not
+// cover lower periods).
 //
 // An error is returned if some single vertex delay already exceeds T (no
 // retiming can fix that).
-func (rg *Graph) ClockConstraints(T float64, wd *WD) ([]Constraint, error) {
-	src, err := NewDenseSource(rg, wd, 0)
-	if err != nil {
-		return nil, err
-	}
-	return rg.ClockConstraintsFrom(T, src)
-}
-
-// ClockConstraintsFrom is ClockConstraints against a ConstraintSource: the
-// candidate test and dominance rule live in the source's rows, so this
-// reduces to a per-row activation filter. T must be above the source's
-// floor (rows do not cover lower periods). The result is identical — pair
-// for pair, in the same sorted order — for every source built over the
-// same graph, dense or lazy.
-func (rg *Graph) ClockConstraintsFrom(T float64, src ConstraintSource) ([]Constraint, error) {
+func (rg *Graph) ClockConstraints(T float64, src ConstraintSource) ([]Constraint, error) {
 	n := rg.N()
 	if src.N() != n {
 		return nil, fmt.Errorf("retime: constraint source for %d vertices, graph has %d", src.N(), n)
@@ -137,13 +126,10 @@ func (rg *Graph) ClockConstraintsFrom(T float64, src ConstraintSource) ([]Constr
 	// tolerance: a strict D(u,v) > T at exactly T = Tmin (itself a computed
 	// path-delay sum) would otherwise generate a spurious constraint and
 	// flip an achievable period to infeasible.
-	tol := periodTol(T)
-	for v := 0; v < n; v++ {
-		if rg.delay[v] > T+tol {
-			return nil, ErrInfeasible{T: T}
-		}
-	}
 	fT := activation(T)
+	if rg.MaxDelay() > fT {
+		return nil, ErrInfeasible{T: T}
+	}
 	if fT < activation(src.Floor()) {
 		return nil, fmt.Errorf("retime: period %g below constraint source floor %g", T, src.Floor())
 	}
@@ -166,36 +152,26 @@ func (rg *Graph) ClockConstraintsFrom(T float64, src ConstraintSource) ([]Constr
 }
 
 // BuildConstraints assembles the full constraint system (edge weight, clock
-// period, pinning) for target period T, computing the W/D matrices afresh.
-// Callers that probe several periods should compute WDMatrices once and use
-// BuildConstraintsWD.
-func (rg *Graph) BuildConstraints(T float64) (*Constraints, error) {
-	if err := rg.Validate(); err != nil {
-		return nil, err
-	}
-	return rg.BuildConstraintsWD(T, rg.WDMatrices())
-}
-
-// BuildConstraintsWD is BuildConstraints against precomputed W/D matrices.
-// The graph must be structurally valid and must not have changed since the
-// matrices were computed.
-func (rg *Graph) BuildConstraintsWD(T float64, wd *WD) (*Constraints, error) {
-	src, err := NewDenseSource(rg, wd, 0)
-	if err != nil {
-		return nil, err
-	}
-	return rg.BuildConstraintsFrom(T, src)
-}
-
-// BuildConstraintsFrom is BuildConstraints against a ConstraintSource. The
-// graph must be structurally valid and must not have changed since the
-// source was built; T must be above the source's floor.
-func (rg *Graph) BuildConstraintsFrom(T float64, src ConstraintSource) (*Constraints, error) {
+// period, pinning) for target period T. src serves the clock-constraint
+// rows; it must have been built for this graph, which must not have
+// changed since, and T must be above its floor. A nil src builds a
+// one-shot LazySource floored at T itself, so every T that passes the
+// vertex-delay check — including one within the comparison tolerance
+// below the maximum vertex delay — is above the floor. Callers that
+// generate constraints repeatedly (or after a period search) pass one
+// shared source so its row cache amortizes.
+func (rg *Graph) BuildConstraints(T float64, src ConstraintSource) (*Constraints, error) {
 	if math.IsNaN(T) || T <= 0 {
 		return nil, fmt.Errorf("retime: invalid target period %g", T)
 	}
+	if err := rg.Validate(); err != nil {
+		return nil, err
+	}
+	if src == nil {
+		src = NewLazySource(rg, T, 0)
+	}
 	edge := rg.EdgeConstraints()
-	clock, err := rg.ClockConstraintsFrom(T, src)
+	clock, err := rg.ClockConstraints(T, src)
 	if err != nil {
 		return nil, err
 	}

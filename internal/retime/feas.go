@@ -72,8 +72,8 @@ type feasArc struct {
 // binary search. It replaces the per-probe "rebuild all constraints, run
 // cold Bellman–Ford" cycle with three incremental structures:
 //
-//   - A candidate pair index built once from a ConstraintSource (dense
-//     matrices or the lazy sweep engine): per source row u, the
+//   - A candidate pair index built once from a ConstraintSource (the
+//     lazy sweep engine): per source row u, the
 //     destinations v whose clock constraint can ever activate (D(u,v)
 //     above the search floor), sorted by D descending, with the dominance
 //     rule of ClockConstraints folded in as an interval condition
@@ -90,7 +90,7 @@ type feasArc struct {
 //     so every later probe below that witness is rejected in O(1).
 //
 // The verdicts and labelings are exactly those of the cold path
-// (BuildConstraintsWD + Feasible): the warm relaxation converges to the
+// (BuildConstraints + Feasible): the warm relaxation converges to the
 // same component-wise maximum solution, so a search driven by this solver
 // is bit-identical to one driven by cold probes.
 //
@@ -142,6 +142,24 @@ type FeasSolver struct {
 	stats ProbeStats
 }
 
+// periodEps is the base tolerance for clock-period comparisons (ns scale).
+const periodEps = 1e-9
+
+// periodTol returns the comparison tolerance for period T. The tolerance is
+// relative: path delays are sums of vertex delays whose floating-point
+// rounding scales with the magnitude of the sum, so an absolute 1e-9 guard
+// breaks down once delays reach ~1e7 (one ulp at that scale already exceeds
+// it) and retiming at exactly the binary-searched Tmin can spuriously flip
+// to infeasible. max(1, |T|) keeps the classical absolute behavior for
+// ns-scale periods.
+func periodTol(T float64) float64 {
+	m := math.Abs(T)
+	if m < 1 {
+		m = 1
+	}
+	return periodEps * m
+}
+
 // activation returns the activation threshold of period T: a clock pair
 // (u,v) constrains the probe at T iff D(u,v) > activation(T). It is
 // strictly increasing in T, so lower periods activate supersets.
@@ -162,8 +180,7 @@ func NewFeasSolver(rg *Graph, src ConstraintSource, tfloor float64) (*FeasSolver
 // candidate index is the construction cost — with a lazy source it runs
 // one W/D sweep per live vertex — so the build observes the context and
 // aborts with its error on expiry. Callers running anytime searches treat
-// that abort like a deadline between probes (see
-// MinPeriodSourceStatsContext).
+// that abort like a deadline between probes (see MinPeriod).
 func NewFeasSolverContext(ctx context.Context, rg *Graph, src ConstraintSource, tfloor float64) (*FeasSolver, error) {
 	n := rg.N()
 	if src.N() != n {
@@ -176,6 +193,7 @@ func NewFeasSolverContext(ctx context.Context, rg *Graph, src ConstraintSource, 
 		rg:          rg,
 		src:         src,
 		tfloor:      tfloor,
+		maxDelay:    rg.MaxDelay(),
 		arcs:        make([][]feasArc, n),
 		matFloor:    math.Inf(1),
 		x:           make([]int, n),
@@ -193,11 +211,6 @@ func NewFeasSolverContext(ctx context.Context, rg *Graph, src ConstraintSource, 
 		touchStamp:  make([]int32, n),
 		touchLen:    make([]int32, n),
 	}
-	for v := 0; v < n; v++ {
-		if d := rg.delay[v]; d > fs.maxDelay {
-			fs.maxDelay = d
-		}
-	}
 	// Base arcs: the T-independent edge-weight and pinning constraints,
 	// always active (d = +Inf), installed ahead of every clock arc.
 	for _, c := range rg.EdgeConstraints() {
@@ -212,13 +225,18 @@ func NewFeasSolverContext(ctx context.Context, rg *Graph, src ConstraintSource, 
 	return fs, nil
 }
 
+// indexParallelThreshold is the vertex count below which the index build
+// runs on the calling goroutine (goroutine fan-out costs more than it saves
+// on tiny graphs).
+const indexParallelThreshold = 64
+
 // buildIndex fills the per-row candidate pair index from the constraint
 // source. A pair (u,v) is a candidate iff its clock constraint can
 // activate at some probe-able period (D(u,v) > activation(tfloor)) and is
 // not dominated throughout its activation range — exactly the rows the
 // source serves at its own floor, narrowed to the solver's floor when the
 // two differ (rows are D-descending, so the narrowing is a prefix). Rows
-// are independent, so the build fans out like the W/D sweep; Row is
+// are independent, so the build fans out across workers; Row is
 // concurrency-safe by contract.
 func (fs *FeasSolver) buildIndex(ctx context.Context) error {
 	n := fs.rg.N()
@@ -247,7 +265,7 @@ func (fs *FeasSolver) buildIndex(ctx context.Context) error {
 	if workers > n {
 		workers = n
 	}
-	if n < wdParallelThreshold || workers <= 1 {
+	if n < indexParallelThreshold || workers <= 1 {
 		for u := 0; u < n; u++ {
 			if u%ctxEvery == 0 && ctx.Err() != nil {
 				return ctx.Err()
@@ -368,7 +386,7 @@ func (fs *FeasSolver) reset() {
 // Probe reports whether period T is achievable by retiming, returning a
 // realizing labeling (normalized like Feasible: pinned vertices at zero)
 // when it is. Verdicts and labelings are identical to the cold
-// BuildConstraintsWD+Feasible path. T must be at least the solver's floor;
+// BuildConstraints+Feasible path. T must be at least the solver's floor;
 // non-positive or NaN T reports infeasible, matching the cold path's
 // ErrInfeasible handling in the period search.
 func (fs *FeasSolver) Probe(T float64) (r []int, feasible bool, err error) {

@@ -1,6 +1,7 @@
 package retime
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -17,8 +18,10 @@ import (
 // must match bit-for-bit: rebuild the full constraint system at T and run
 // the solver cold. Build errors (invalid T, vertex delay above T) are the
 // infeasible verdict, exactly as the pre-solver period search treated them.
+// The system comes from the all-pairs W/D oracle, so the cold side shares
+// no row code path with the lazy engine beyond the candidate test.
 func coldProbe(rg *Graph, wd *WD, T float64) (r []int, ok bool) {
-	cs, err := rg.BuildConstraintsWD(T, wd)
+	cs, err := rg.BuildConstraints(T, newOracleSource(rg, wd, 0))
 	if err != nil {
 		return nil, false
 	}
@@ -114,17 +117,13 @@ func labelsEqual(a, b []int) bool {
 	return true
 }
 
-// checkProbeSequence drives one FeasSolver through the given periods and
-// asserts verdict and labeling agree exactly with the cold oracle at every
-// step.
+// checkProbeSequence drives one FeasSolver over a lazy source through the
+// given periods and asserts verdict and labeling agree exactly with the
+// cold oracle at every step.
 func checkProbeSequence(t *testing.T, rg *Graph, probes []float64) {
 	t.Helper()
-	wd := rg.WDMatrices()
-	src, err := NewDenseSource(rg, wd, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := NewFeasSolver(rg, src, 0)
+	wd := oracleWD(rg)
+	fs, err := NewFeasSolver(rg, NewLazySource(rg, 0, 0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,9 +194,8 @@ func TestFeasSolverMatchesColdBench89(t *testing.T) {
 func TestMinPeriodMatchesColdSearch(t *testing.T) {
 	check := func(t *testing.T, rg *Graph) {
 		t.Helper()
-		wd := rg.WDMatrices()
-		wantT, wantR, wantErr := coldMinPeriodWD(rg, 1e-3, wd)
-		gotT, gotR, err := rg.MinPeriodWD(1e-3, wd)
+		wantT, wantR, wantErr := coldMinPeriodWD(rg, 1e-3, oracleWD(rg))
+		gotT, gotR, _, err := rg.MinPeriod(context.Background(), nil, 1e-3)
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("err=%v cold err=%v", err, wantErr)
 		}
@@ -228,8 +226,7 @@ func TestMinPeriodMatchesColdSearch(t *testing.T) {
 // reports warm probes (regression guard on the counter plumbing).
 func TestFeasSolverWarmStats(t *testing.T) {
 	rg := bench89Graph(t, "s400")
-	wd := rg.WDMatrices()
-	_, _, stats, err := rg.MinPeriodWDStatsContext(t.Context(), 1e-3, wd)
+	_, _, stats, err := rg.MinPeriod(t.Context(), nil, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +259,7 @@ func TestProbeApplyErrorPropagates(t *testing.T) {
 	// ring(3,1,3) retimes to period 1 = the search floor, so the very first
 	// probe is feasible and hits the injected failure.
 	rg := ring(3, 1, 3)
-	_, _, err := rg.MinPeriod(1e-3)
+	_, _, _, err := rg.MinPeriod(context.Background(), nil, 1e-3)
 	if err == nil {
 		t.Fatal("injected Apply failure was swallowed")
 	}
@@ -274,8 +271,8 @@ func TestProbeApplyErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestWDRowFastPathMatchesGeneral: the out-degree-0 fast path of wdRow must
-// produce the same row as the general sweep — in particular, unreachable
+// TestWDRowFastPathMatchesGeneral: the out-degree-0 fast path of the W/D
+// oracle must produce the same row as the general sweep — in particular, unreachable
 // destinations carry D = -Inf, not 0.
 func TestWDRowFastPathMatchesGeneral(t *testing.T) {
 	build := func(selfLoop bool) *Graph {
@@ -294,8 +291,8 @@ func TestWDRowFastPathMatchesGeneral(t *testing.T) {
 		}
 		return rg
 	}
-	fast := build(false).WDMatrices()
-	general := build(true).WDMatrices()
+	fast := oracleWD(build(false))
+	general := oracleWD(build(true))
 	const s = 2
 	for v := 0; v < fast.N; v++ {
 		if fast.W[s][v] != general.W[s][v] {
@@ -333,12 +330,11 @@ func TestFeasibleInfeasibleSystem(t *testing.T) {
 // must not rebuild the solver-layout triple arrays.
 func TestFeasibleStatsReusesArrays(t *testing.T) {
 	rg := bench89Graph(t, "s386")
-	wd := rg.WDMatrices()
-	T, _, err := rg.MinPeriodWD(1e-3, wd)
+	T, _, _, err := rg.MinPeriod(context.Background(), nil, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := rg.BuildConstraintsWD(T*1.05, wd)
+	cs, err := rg.BuildConstraints(T*1.05, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,12 +362,11 @@ func TestFeasibleStatsReusesArrays(t *testing.T) {
 
 func BenchmarkFeasibleStats(b *testing.B) {
 	rg := bench89Graph(b, "s953")
-	wd := rg.WDMatrices()
-	T, _, err := rg.MinPeriodWD(1e-3, wd)
+	T, _, _, err := rg.MinPeriod(context.Background(), nil, 1e-3)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cs, err := rg.BuildConstraintsWD(T*1.05, wd)
+	cs, err := rg.BuildConstraints(T*1.05, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -385,14 +380,17 @@ func BenchmarkFeasibleStats(b *testing.B) {
 }
 
 // TestWarmProbeSmokeS953: the incremental search on s953 beats a cold
-// search probing the same periods. Wall-clock comparisons are noisy, so the
-// test is opt-in (LACRET_SMOKE=1; CI runs it in the benchmark-smoke step).
+// search probing the same periods. Both sides read prebuilt rows: the warm
+// search a lazy source whose cache the first run fills, the cold one the
+// W/D oracle. Wall-clock comparisons are noisy, so the test is opt-in
+// (LACRET_SMOKE=1; CI runs it in the benchmark-smoke step).
 func TestWarmProbeSmokeS953(t *testing.T) {
 	if os.Getenv("LACRET_SMOKE") != "1" {
 		t.Skip("set LACRET_SMOKE=1 to run the warm-vs-cold smoke comparison")
 	}
 	rg := bench89Graph(t, "s953")
-	wd := rg.WDMatrices()
+	wd := oracleWD(rg)
+	src := NewLazySource(rg, rg.MaxDelay(), 0)
 	run := func(f func()) time.Duration {
 		best := time.Duration(math.MaxInt64)
 		for i := 0; i < 3; i++ {
@@ -406,7 +404,7 @@ func TestWarmProbeSmokeS953(t *testing.T) {
 	}
 	var warmT, coldT float64
 	warm := run(func() {
-		T, _, err := rg.MinPeriodWD(1e-3, wd)
+		T, _, _, err := rg.MinPeriod(context.Background(), src, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}

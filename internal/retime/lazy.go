@@ -26,16 +26,17 @@ const DefaultLazyCachePairs = 4 << 20
 //     longer matter;
 //   - sharding across GOMAXPROCS: sources hash to per-shard solvers with
 //     O(V) scratch each, so concurrent Row calls (the FeasSolver's index
-//     build fans out exactly like the dense build used to) sweep in
-//     parallel without shared mutable state;
+//     build fans out across workers) sweep in parallel without shared
+//     mutable state;
 //   - an LRU row cache per shard, bounded by a global pair budget, so the
 //     hot rows the period search and the later constraint generation at
 //     Tclk both touch are computed once.
 //
-// Rows are bit-identical to the dense engine's at the same floor: the
-// sweep's D values above the cut are exact (see FromSourceAbove), W labels
-// are always exact, and both engines assemble rows through the same
-// candidate test (appendRowPair).
+// Rows are bit-identical to rows assembled from the exact all-pairs W/D
+// matrices at the same floor: the sweep's D values above the cut are exact
+// (see FromSourceAbove), W labels are always exact, and both assemble rows
+// through the same candidate test (appendRowPair). The package tests keep
+// that all-pairs build as the oracle.
 type LazySource struct {
 	rg     *Graph
 	floor  float64
@@ -153,9 +154,8 @@ func NewLazySource(rg *Graph, floor float64, cachePairs int64) *LazySource {
 	return ls
 }
 
-func (ls *LazySource) N() int             { return ls.rg.N() }
-func (ls *LazySource) Floor() float64     { return ls.floor }
-func (ls *LazySource) EngineName() string { return "lazy" }
+func (ls *LazySource) N() int         { return ls.rg.N() }
+func (ls *LazySource) Floor() float64 { return ls.floor }
 
 // MaxDBound returns max_v(delay[v] + suffix[v]) — an upper bound on every
 // path delay, hence on every finite D. It is +Inf when some vertex reaches

@@ -8,7 +8,7 @@ import (
 
 func TestMinAreaSolverMatchesOneShot(t *testing.T) {
 	rg := ring(6, 1, 3)
-	cs, err := rg.BuildConstraints(2)
+	cs, err := rg.BuildConstraints(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestMinAreaSolverWarmEqualsCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		cs, err := rg.BuildConstraints(T) // r = 0 is feasible at the initial period
+		cs, err := rg.BuildConstraints(T, nil) // r = 0 is feasible at the initial period
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -114,7 +114,7 @@ func TestMinAreaSolverWarmEqualsCold(t *testing.T) {
 
 func TestNewMinAreaSolverValidation(t *testing.T) {
 	rg := ring(6, 1, 3)
-	cs, err := rg.BuildConstraints(2)
+	cs, err := rg.BuildConstraints(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

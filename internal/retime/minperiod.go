@@ -7,17 +7,6 @@ import (
 	"lacret/internal/obs"
 )
 
-// FeasiblePeriod reports whether target period T is achievable by retiming
-// (with ports pinned), returning a realizing labeling when it is. The W/D
-// matrices must belong to this graph.
-func (rg *Graph) FeasiblePeriod(T float64, wd *WD) (r []int, ok bool) {
-	cs, err := rg.BuildConstraintsWD(T, wd)
-	if err != nil {
-		return nil, false
-	}
-	return cs.Feasible(rg)
-}
-
 // MinPeriodPartial is the state of an interrupted minimum-period search:
 // the bracket (Lo, Hi] with Lo proven infeasible (0 when no probe completed
 // — no retiming achieves a non-positive period, so the invariant holds
@@ -46,77 +35,44 @@ func (e *ErrBudgetExceeded) Error() string {
 
 func (e *ErrBudgetExceeded) Unwrap() error { return e.Cause }
 
-// MinPeriod finds the minimum achievable clock period under retiming (with
-// ports pinned) and a labeling that realizes it. The search is a binary
-// search over period probes; each probe instantiates the active clock
-// constraints from the precomputed W/D matrices and tests feasibility with
-// Bellman–Ford. eps bounds the absolute search error (<=0 selects 1e-4);
-// the returned period is the actual retimed period of the found labeling,
-// a realizable value rather than a midpoint.
-func (rg *Graph) MinPeriod(eps float64) (T float64, r []int, err error) {
-	if err := rg.Validate(); err != nil {
-		return 0, nil, err
-	}
-	return rg.MinPeriodWD(eps, rg.WDMatrices())
-}
-
-// MinPeriodContext is MinPeriod under a context: the deadline is checked
-// between feasibility probes, and on expiry the search returns a typed
-// *ErrBudgetExceeded carrying the current bracket (an anytime result; see
-// MinPeriodPartial). An already-expired context yields a partial with zero
-// probes whose Hi is the unretimed period.
-func (rg *Graph) MinPeriodContext(ctx context.Context, eps float64) (T float64, r []int, err error) {
-	if err := rg.Validate(); err != nil {
-		return 0, nil, err
-	}
-	return rg.MinPeriodWDContext(ctx, eps, rg.WDMatrices())
-}
-
-// MinPeriodWD is MinPeriod against precomputed W/D matrices.
-func (rg *Graph) MinPeriodWD(eps float64, wd *WD) (T float64, r []int, err error) {
-	return rg.MinPeriodWDContext(context.Background(), eps, wd)
-}
-
-// MinPeriodWDContext is MinPeriodContext against precomputed W/D matrices.
-func (rg *Graph) MinPeriodWDContext(ctx context.Context, eps float64, wd *WD) (T float64, r []int, err error) {
-	T, r, _, err = rg.MinPeriodWDStatsContext(ctx, eps, wd)
-	return T, r, err
-}
-
 // applyForProbe is the labeling-application step of a feasibility probe,
 // indirected so tests can inject a failure on the (structurally
 // unreachable via the public API) internal-error path and assert it is
 // propagated rather than misread as "period infeasible".
 var applyForProbe = (*Graph).Apply
 
-// MinPeriodWDStatsContext is MinPeriodWDContext plus the probe-work
-// counters of the search's persistent feasibility solver (see ProbeStats).
-func (rg *Graph) MinPeriodWDStatsContext(ctx context.Context, eps float64, wd *WD) (T float64, r []int, stats ProbeStats, err error) {
-	src, err := NewDenseSource(rg, wd, 0)
-	if err != nil {
-		return 0, nil, stats, err
-	}
-	return rg.MinPeriodSourceStatsContext(ctx, eps, src)
-}
-
-// MinPeriodSourceStatsContext runs the minimum-period binary search against
-// a ConstraintSource (dense matrices or the lazy sweep engine) and returns
-// the probe-work counters alongside the result. The source's floor must
-// not exceed the search's lower bracket end (the maximum vertex delay);
-// engines built for this graph at that floor or below always qualify.
+// MinPeriod finds the minimum achievable clock period under retiming (with
+// ports pinned), a labeling that realizes it, and the probe-work counters
+// of the search (see ProbeStats). It is a binary search over period
+// probes; eps bounds the absolute search error (<=0 selects 1e-4), and the
+// returned period is the actual retimed period of the found labeling, a
+// realizable value rather than a midpoint.
+//
+// src serves the clock-constraint rows. Its floor must not exceed the
+// search's lower bracket end (the maximum vertex delay); a nil src builds
+// a one-shot LazySource floored there. Callers that go on to generate
+// constraints at the chosen period pass their own source so both steps
+// share its row cache.
 //
 // The probes run on one FeasSolver built at the bracket's floor: each
 // probe warm-starts from the previous feasible labeling and touches only
 // the clock pairs whose activation status changed, instead of rebuilding
 // the full constraint system and sweeping all O(V²) pairs. Verdicts and
-// labelings are identical to the cold BuildConstraintsWD+Feasible path —
-// and identical across source engines — so results are bit-identical to
-// searches run before the solver existed.
+// labelings are identical to the cold BuildConstraints+Feasible path.
+//
+// Under a context the deadline is checked between probes (and during the
+// solver's index build); on expiry the search returns a typed
+// *ErrBudgetExceeded carrying the current bracket (an anytime result; see
+// MinPeriodPartial). An already-expired context yields a partial with zero
+// probes whose Hi is the unretimed period.
 //
 // Internal failures while realizing a feasible labeling (Apply or Period
 // on the retimed graph) are returned as errors — never folded into an
 // "infeasible" verdict, which would corrupt the bracket invariant.
-func (rg *Graph) MinPeriodSourceStatsContext(ctx context.Context, eps float64, src ConstraintSource) (T float64, r []int, stats ProbeStats, err error) {
+func (rg *Graph) MinPeriod(ctx context.Context, src ConstraintSource, eps float64) (T float64, r []int, stats ProbeStats, err error) {
+	if err := rg.Validate(); err != nil {
+		return 0, nil, stats, err
+	}
 	if eps <= 0 {
 		eps = 1e-4
 	}
@@ -124,14 +80,12 @@ func (rg *Graph) MinPeriodSourceStatsContext(ctx context.Context, eps float64, s
 	if err != nil {
 		return 0, nil, stats, err
 	}
-	lo := 0.0
-	for v := 0; v < rg.N(); v++ {
-		if rg.delay[v] > lo {
-			lo = rg.delay[v]
-		}
-	}
+	lo := rg.MaxDelay()
 	if hi < lo {
 		hi = lo
+	}
+	if src == nil {
+		src = NewLazySource(rg, lo, 0)
 	}
 	// The zero labeling realizes hi. A successful probe at T realizes some
 	// period p <= T which becomes the new upper bound (an achievable value,

@@ -1,6 +1,7 @@
 package retime
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -89,7 +90,7 @@ func TestQuickMinPeriodBounds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		T, r, err := rg.MinPeriod(1e-4)
+		T, r, _, err := rg.MinPeriod(context.Background(), nil, 1e-4)
 		if err != nil {
 			return false
 		}
@@ -115,7 +116,7 @@ func TestQuickWDTriangle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rg := randomGraph(rng, 4+rng.Intn(5), false)
-		wd := rg.WDMatrices()
+		wd := oracleWD(rg)
 		n := rg.N()
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {

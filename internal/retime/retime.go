@@ -102,6 +102,19 @@ func (rg *Graph) M() int { return rg.g.M() }
 // Delay returns the delay of vertex v.
 func (rg *Graph) Delay(v int) float64 { return rg.delay[v] }
 
+// MaxDelay returns the largest vertex delay (0 for an empty graph): no
+// retiming achieves a period below it, so it is the period search's lower
+// bracket end and the floor of the planner's constraint source.
+func (rg *Graph) MaxDelay() float64 {
+	m := 0.0
+	for _, d := range rg.delay {
+		if d > m {
+			m = d
+		}
+	}
+	return m
+}
+
 // Kind returns the kind of vertex v.
 func (rg *Graph) Kind(v int) VertexKind { return rg.kind[v] }
 

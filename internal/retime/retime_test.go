@@ -1,6 +1,7 @@
 package retime
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -153,7 +154,7 @@ func TestCloneIndependent(t *testing.T) {
 
 func TestWDMatricesRing(t *testing.T) {
 	rg := ring(3, 2, 1) // 0->1->2->0, reg on last edge
-	wd := rg.WDMatrices()
+	wd := oracleWD(rg)
 	// W[0][2] = 0 (path 0->1->2), D = 6.
 	if wd.W[0][2] != 0 || wd.D[0][2] != 6 {
 		t.Fatalf("W=%d D=%g", wd.W[0][2], wd.D[0][2])
@@ -178,7 +179,7 @@ func TestMinPeriodRing(t *testing.T) {
 	}
 	for _, c := range cases {
 		rg := ring(3, 2, c.regs)
-		T, r, err := rg.MinPeriod(1e-6)
+		T, r, _, err := rg.MinPeriod(context.Background(), nil, 1e-6)
 		if err != nil {
 			t.Fatalf("regs=%d: %v", c.regs, err)
 		}
@@ -199,7 +200,7 @@ func TestMinPeriodPipelineBalancing(t *testing.T) {
 	if p0 != 2 {
 		t.Fatalf("initial period %g", p0)
 	}
-	T, r, err := rg.MinPeriod(1e-6)
+	T, r, _, err := rg.MinPeriod(context.Background(), nil, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestMinPeriodCombinationalPathLimits(t *testing.T) {
 	// pi -> a(1) -> b(1) -> po with no registers anywhere: ports pinned, so
 	// no register can be inserted; min period stays 2.
 	rg := pipeline([]float64{1, 1}, []int{0, 0, 0})
-	T, _, err := rg.MinPeriod(1e-6)
+	T, _, _, err := rg.MinPeriod(context.Background(), nil, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +235,17 @@ func TestMinPeriodCombinationalPathLimits(t *testing.T) {
 
 func TestFeasiblePeriodInfeasible(t *testing.T) {
 	rg := pipeline([]float64{1, 1}, []int{0, 0, 0})
-	wd := rg.WDMatrices()
-	if _, ok := rg.FeasiblePeriod(1.5, wd); ok {
+	feasible := func(T float64) ([]int, bool) {
+		cs, err := rg.BuildConstraints(T, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cs.Feasible(rg)
+	}
+	if _, ok := feasible(1.5); ok {
 		t.Fatal("period 1.5 should be infeasible (comb path of 2)")
 	}
-	if r, ok := rg.FeasiblePeriod(2, wd); !ok {
+	if r, ok := feasible(2); !ok {
 		t.Fatal("period 2 should be feasible")
 	} else if err := rg.CheckFeasible(r, 2); err != nil {
 		t.Fatal(err)
@@ -317,7 +324,7 @@ func TestMinAreaWeightedMovesRegisters(t *testing.T) {
 	// Expensive registers on the input side: the register must end on b's
 	// out-edge (the only cheap tail).
 	rg := build()
-	cs, err := rg.BuildConstraints(100)
+	cs, err := rg.BuildConstraints(100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +474,7 @@ func TestMinPeriodAgainstBruteForce(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		n := 3 + rng.Intn(3)
 		rg := randomGraph(rng, n, trial%2 == 1)
-		T, r, err := rg.MinPeriod(1e-6)
+		T, r, _, err := rg.MinPeriod(context.Background(), nil, 1e-6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -554,7 +561,7 @@ func TestFromCollapsed(t *testing.T) {
 
 func TestConstraintCounts(t *testing.T) {
 	rg := pipeline([]float64{1, 1, 1}, []int{0, 1, 1, 0})
-	cs, err := rg.BuildConstraints(2)
+	cs, err := rg.BuildConstraints(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,8 +587,8 @@ func TestClockConstraintPruning(t *testing.T) {
 		weights[i] = 1
 	}
 	rg := pipeline(delays, weights)
-	wd := rg.WDMatrices()
-	cons, err := rg.ClockConstraints(1, wd)
+	wd := oracleWD(rg)
+	cons, err := rg.ClockConstraints(1, NewLazySource(rg, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +600,7 @@ func TestClockConstraintPruning(t *testing.T) {
 	// And the pruned system must be exactly as restrictive: compare
 	// feasibility against the unpruned system on a few probes.
 	for _, T := range []float64{1, 1.5, 2, 3} {
-		pruned, err := rg.BuildConstraintsWD(T, wd)
+		pruned, err := rg.BuildConstraints(T, nil)
 		if err != nil {
 			continue
 		}
@@ -634,7 +641,7 @@ func TestPrunedMatchesFullOnRandomGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 50; trial++ {
 		rg := randomGraph(rng, 4+rng.Intn(4), trial%2 == 0)
-		wd := rg.WDMatrices()
+		wd := oracleWD(rg)
 		p, _ := rg.Period()
 		T := p * (0.5 + rng.Float64())
 		maxDelay := 0.0
@@ -646,7 +653,7 @@ func TestPrunedMatchesFullOnRandomGraphs(t *testing.T) {
 		if T < maxDelay {
 			T = maxDelay
 		}
-		pruned, err := rg.BuildConstraintsWD(T, wd)
+		pruned, err := rg.BuildConstraints(T, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -701,7 +708,7 @@ func TestPinConstraintsCounts(t *testing.T) {
 func TestSetPinnedOverride(t *testing.T) {
 	rg := pipeline([]float64{1}, []int{1, 1})
 	rg.SetPinned(1, true) // pin the internal unit too
-	T, r, err := rg.MinPeriod(1e-4)
+	T, r, _, err := rg.MinPeriod(context.Background(), nil, 1e-4)
 	if err != nil {
 		t.Fatal(err)
 	}

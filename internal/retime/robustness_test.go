@@ -1,8 +1,8 @@
 package retime
 
 import (
+	"context"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -37,7 +37,7 @@ func nastyGraph(rng *rand.Rand, n int, scale float64) *Graph {
 
 // TestRetimeAtExactTmin is the regression test for the strict D(u,v) > T
 // comparison in ClockConstraints: re-solving at exactly the Tmin returned
-// by MinPeriodWD — the planner's Tclk whenever the slack collapses — must
+// by MinPeriod — the planner's Tclk whenever the slack collapses — must
 // stay feasible at every delay magnitude. With an absolute 1e-9 epsilon
 // this spuriously flips to infeasible once delays reach ~1e7 (one ulp of
 // the path sums already exceeds the tolerance).
@@ -49,41 +49,30 @@ func TestRetimeAtExactTmin(t *testing.T) {
 			if err := rg.Validate(); err != nil {
 				continue
 			}
-			wd := rg.WDMatrices()
-			tmin, r, err := rg.MinPeriodWD(1e-3*scale, wd)
+			src := NewLazySource(rg, rg.MaxDelay(), 0)
+			tmin, r, _, err := rg.MinPeriod(context.Background(), src, 1e-3*scale)
 			if err != nil {
-				t.Fatalf("scale %g trial %d: MinPeriodWD: %v", scale, trial, err)
+				t.Fatalf("scale %g trial %d: MinPeriod: %v", scale, trial, err)
 			}
 			if err := rg.CheckFeasible(r, tmin); err != nil {
-				t.Fatalf("scale %g trial %d: labeling from MinPeriodWD rejected: %v", scale, trial, err)
+				t.Fatalf("scale %g trial %d: labeling from MinPeriod rejected: %v", scale, trial, err)
 			}
-			// The planner path: regenerate constraints at exactly T = Tmin.
-			cs, err := rg.BuildConstraintsWD(tmin, wd)
-			if err != nil {
-				t.Fatalf("scale %g trial %d: constraints at exact Tmin: %v", scale, trial, err)
+			// The planner path regenerates constraints at exactly T = Tmin
+			// from the search's source; the one-shot path (nil source)
+			// must agree.
+			for _, s := range []ConstraintSource{src, nil} {
+				cs, err := rg.BuildConstraints(tmin, s)
+				if err != nil {
+					t.Fatalf("scale %g trial %d: constraints at exact Tmin: %v", scale, trial, err)
+				}
+				r2, ok := cs.Feasible(rg)
+				if !ok {
+					t.Fatalf("scale %g trial %d: infeasible at exactly Tmin=%v", scale, trial, tmin)
+				}
+				if err := rg.CheckFeasible(r2, tmin); err != nil {
+					t.Fatalf("scale %g trial %d: solution at exact Tmin invalid: %v", scale, trial, err)
+				}
 			}
-			r2, ok := cs.Feasible(rg)
-			if !ok {
-				t.Fatalf("scale %g trial %d: infeasible at exactly Tmin=%v", scale, trial, tmin)
-			}
-			if err := rg.CheckFeasible(r2, tmin); err != nil {
-				t.Fatalf("scale %g trial %d: solution at exact Tmin invalid: %v", scale, trial, err)
-			}
-		}
-	}
-}
-
-// TestWDMatricesParallelMatchesSequential locks the parallel fan-out to the
-// sequential result bit for bit (rows are independent, so any divergence is
-// a sharing bug).
-func TestWDMatricesParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 6; trial++ {
-		rg := nastyGraph(rng, wdParallelThreshold+8, 1)
-		seq := rg.WDMatricesParallel(1)
-		par := rg.WDMatricesParallel(8)
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("trial %d: parallel W/D differs from sequential", trial)
 		}
 	}
 }

@@ -64,7 +64,7 @@ func (rg *Graph) MinAreaShared(T float64) (*SharedMinAreaResult, error) {
 		}
 	}
 
-	cs, err := ext.BuildConstraints(T)
+	cs, err := ext.BuildConstraints(T, nil)
 	if err != nil {
 		return nil, err
 	}

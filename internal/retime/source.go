@@ -1,10 +1,8 @@
 package retime
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
 // SourcePair is one candidate clock-constraint pair served by a
@@ -30,7 +28,9 @@ type SourcePair struct {
 // SourceMem is a ConstraintSource's memory/work accounting, surfaced as obs
 // gauges and stage counters.
 type SourceMem struct {
-	// DenseBytes is the resident W/D matrix footprint (dense engine only).
+	// DenseBytes is always 0. It held the resident footprint of the
+	// retired dense W/D engine and stays only so existing readers of the
+	// accounting keep compiling.
 	DenseBytes int64
 	// CachedRows / CachedPairs size the lazy engine's row cache.
 	CachedRows  int64
@@ -48,13 +48,14 @@ type SourceMem struct {
 // ConstraintSource serves the W/D dependence of retiming row by row: for a
 // source vertex u, the register-minimal pairs whose clock constraint can
 // activate at some period above the source's floor, ready for constraint
-// generation (ClockConstraintsFrom) and for the FeasSolver's D-sorted
+// generation (ClockConstraints) and for the FeasSolver's D-sorted
 // activation index. It also bounds the period search: no period at or
 // below Floor() can be asked about, and no finite D exceeds MaxDBound(),
 // so Tmin candidates live in (Floor(), MaxDBound() ∪ {unretimed period}].
 //
-// Implementations: the dense W/D matrices (NewDenseSource) and the lazy
-// on-demand per-source sweep engine (NewLazySource).
+// The production implementation is the lazy on-demand per-source sweep
+// engine (NewLazySource); the package tests check it against an all-pairs
+// W/D oracle.
 type ConstraintSource interface {
 	// N is the vertex count of the graph the source was built for.
 	N() int
@@ -74,16 +75,14 @@ type ConstraintSource interface {
 	MaxDBound() float64
 	// Mem reports the source's memory/work accounting.
 	Mem() SourceMem
-	// EngineName identifies the implementation ("dense" or "lazy") for
-	// reports and traces.
-	EngineName() string
 }
 
 // appendRowPair applies the shared per-destination candidate test and
 // appends the qualifying pair: destination v of source u with labels
 // (wv, dv), where wd supplies the (W, D) labels of u's row for the
-// dominance scan over v's in-edges. Both engines funnel through this so
-// their rows are bit-identical by construction.
+// dominance scan over v's in-edges. The lazy engine and the tests' dense
+// W/D oracle both funnel through this, so their rows are bit-identical by
+// construction.
 func appendRowPair(rg *Graph, row []SourcePair, u, v int, wv int32, dv float64, cut float64,
 	wd func(x int) (int32, float64)) []SourcePair {
 	if v == u || wv < 0 || dv <= cut {
@@ -106,8 +105,8 @@ func appendRowPair(rg *Graph, row []SourcePair, u, v int, wv int32, dv float64, 
 	if dprune <= cut {
 		// Below the cut the dominating pair can never be active, and the
 		// lazy engine's frontier pruning may understate D values in that
-		// range; clamping keeps the two engines' rows identical and the
-		// consumers' verdicts unchanged.
+		// range; clamping keeps its rows identical to the exact all-pairs
+		// rows and the consumers' verdicts unchanged.
 		dprune = math.Inf(-1)
 	}
 	return append(row, SourcePair{V: int32(v), Bound: wv - 1, D: dv, DPrune: dprune})
@@ -137,52 +136,4 @@ func rowPrefixAbove(row []SourcePair, cut float64) int {
 		}
 	}
 	return lo
-}
-
-// denseSource adapts the dense W/D matrices to the ConstraintSource
-// interface. Rows are assembled on demand from the resident matrices (the
-// same O(V + in-degree) scan ClockConstraints ran inline), so the adapter
-// adds no persistent state beyond the matrices themselves.
-type denseSource struct {
-	rg    *Graph
-	wd    *WD
-	floor float64
-	cut   float64
-
-	maxDOnce sync.Once
-	maxD     float64
-}
-
-// NewDenseSource wraps precomputed W/D matrices as a ConstraintSource with
-// the given period floor (0 serves every positive period). The matrices
-// must belong to the graph.
-func NewDenseSource(rg *Graph, wd *WD, floor float64) (ConstraintSource, error) {
-	if wd.N != rg.N() {
-		return nil, fmt.Errorf("retime: WD matrices for %d vertices, graph has %d", wd.N, rg.N())
-	}
-	return &denseSource{rg: rg, wd: wd, floor: floor, cut: activation(floor)}, nil
-}
-
-func (ds *denseSource) N() int             { return ds.wd.N }
-func (ds *denseSource) Floor() float64     { return ds.floor }
-func (ds *denseSource) EngineName() string { return "dense" }
-
-func (ds *denseSource) Row(u int) []SourcePair {
-	Wu, Du := ds.wd.W[u], ds.wd.D[u]
-	var row []SourcePair
-	for v := 0; v < ds.wd.N; v++ {
-		row = appendRowPair(ds.rg, row, u, v, Wu[v], Du[v], ds.cut,
-			func(x int) (int32, float64) { return Wu[x], Du[x] })
-	}
-	sortRow(row)
-	return row
-}
-
-func (ds *denseSource) MaxDBound() float64 {
-	ds.maxDOnce.Do(func() { ds.maxD = ds.wd.MaxD() })
-	return ds.maxD
-}
-
-func (ds *denseSource) Mem() SourceMem {
-	return SourceMem{DenseBytes: ds.wd.Bytes()}
 }

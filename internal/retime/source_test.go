@@ -3,21 +3,11 @@ package retime
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
-
-// maxVertexDelay mirrors the period search's lower bracket end.
-func maxVertexDelay(rg *Graph) float64 {
-	lo := 0.0
-	for v := 0; v < rg.N(); v++ {
-		if d := rg.Delay(v); d > lo {
-			lo = d
-		}
-	}
-	return lo
-}
 
 func rowsEqual(a, b []SourcePair) bool {
 	if len(a) != len(b) {
@@ -31,20 +21,17 @@ func rowsEqual(a, b []SourcePair) bool {
 	return true
 }
 
-// TestDenseLazyRowsEqual pins the tentpole's bit-identity claim at the row
-// level: at the same floor, the dense adapter and the lazy sweep engine
-// serve identical SourcePair rows (same pairs, same order, same D and
-// DPrune values) on random graphs.
+// TestDenseLazyRowsEqual pins the lazy engine's bit-identity claim at the
+// row level: at the same floor, the all-pairs W/D oracle and the lazy sweep
+// engine serve identical SourcePair rows (same pairs, same order, same D
+// and DPrune values) on random graphs.
 func TestDenseLazyRowsEqual(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		rg := randomGraph(rng, 4+rng.Intn(8), seed%2 == 0)
-		wd := rg.WDMatrices()
-		for _, floor := range []float64{0, maxVertexDelay(rg)} {
-			dense, err := NewDenseSource(rg, wd, floor)
-			if err != nil {
-				t.Fatal(err)
-			}
+		wd := oracleWD(rg)
+		for _, floor := range []float64{0, rg.MaxDelay()} {
+			dense := newOracleSource(rg, wd, floor)
 			lazy := NewLazySource(rg, floor, 0)
 			if dense.N() != lazy.N() || dense.Floor() != lazy.Floor() {
 				t.Fatalf("seed %d: source metadata mismatch", seed)
@@ -67,58 +54,92 @@ func TestDenseLazyRowsEqual(t *testing.T) {
 }
 
 // TestLazyConstraintsMatchDense: the full constraint system generated
-// through the lazy engine equals the dense BuildConstraintsWD system at
-// every tested period — the LAC loop and the constraints stage see the
-// same inputs whichever engine planned the periods.
+// through the lazy engine — the planner's shared source floored at the
+// maximum vertex delay, and the one-shot source of BuildConstraints(T,
+// nil) — equals the system built from the W/D oracle at every tested
+// period.
 func TestLazyConstraintsMatchDense(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		rg := randomGraph(rng, 5+rng.Intn(6), seed%2 == 1)
-		wd := rg.WDMatrices()
-		floor := maxVertexDelay(rg)
+		oracle := newOracleSource(rg, oracleWD(rg), 0)
+		floor := rg.MaxDelay()
 		lazy := NewLazySource(rg, floor, 0)
 		p, err := rg.Period()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, T := range []float64{floor, (floor + p) / 2, p, p * 1.5} {
-			want, werr := rg.BuildConstraintsWD(T, wd)
-			got, gerr := rg.BuildConstraintsFrom(T, lazy)
-			if (werr == nil) != (gerr == nil) {
-				t.Fatalf("seed %d T=%g: dense err %v, lazy err %v", seed, T, werr, gerr)
-			}
-			if werr != nil {
-				continue
-			}
-			if len(want.Cons) != len(got.Cons) {
-				t.Fatalf("seed %d T=%g: %d dense constraints, %d lazy", seed, T, len(want.Cons), len(got.Cons))
-			}
-			for i := range want.Cons {
-				if want.Cons[i] != got.Cons[i] {
-					t.Fatalf("seed %d T=%g: constraint %d: dense %+v lazy %+v",
-						seed, T, i, want.Cons[i], got.Cons[i])
+			want, werr := rg.BuildConstraints(T, oracle)
+			for _, src := range []ConstraintSource{lazy, nil} {
+				got, gerr := rg.BuildConstraints(T, src)
+				if (werr == nil) != (gerr == nil) {
+					t.Fatalf("seed %d T=%g: oracle err %v, lazy err %v", seed, T, werr, gerr)
 				}
-			}
-			if want.ClockCount != got.ClockCount || want.EdgeCount != got.EdgeCount || want.PinCount != got.PinCount {
-				t.Fatalf("seed %d T=%g: count mismatch dense %+v lazy %+v", seed, T, want, got)
+				if werr != nil {
+					continue
+				}
+				constraintsEqual(t, fmt.Sprintf("seed %d T=%g", seed, T), want, got)
 			}
 		}
 	}
 }
 
+// constraintsEqual fails the test unless got is the same system as want,
+// constraint for constraint and count for count.
+func constraintsEqual(t *testing.T, what string, want, got *Constraints) {
+	t.Helper()
+	if len(want.Cons) != len(got.Cons) {
+		t.Fatalf("%s: %d oracle constraints, %d lazy", what, len(want.Cons), len(got.Cons))
+	}
+	for i := range want.Cons {
+		if want.Cons[i] != got.Cons[i] {
+			t.Fatalf("%s: constraint %d: oracle %+v lazy %+v", what, i, want.Cons[i], got.Cons[i])
+		}
+	}
+	if want.ClockCount != got.ClockCount || want.EdgeCount != got.EdgeCount || want.PinCount != got.PinCount {
+		t.Fatalf("%s: count mismatch oracle %+v lazy %+v", what, want, got)
+	}
+}
+
+// TestOneShotBuildConstraintsAtMaxDelay: the one-shot BuildConstraints
+// floors its source at the asked period, so T equal to the maximum vertex
+// delay — and T within the comparison tolerance below it, which the
+// vertex-delay check still admits — builds the oracle's system instead of
+// tripping the source-floor check.
+func TestOneShotBuildConstraintsAtMaxDelay(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rg := randomGraph(rng, 5+rng.Intn(6), seed%2 == 0)
+		oracle := newOracleSource(rg, oracleWD(rg), 0)
+		maxD := rg.MaxDelay()
+		for _, T := range []float64{maxD, maxD - periodTol(maxD)/2} {
+			want, err := rg.BuildConstraints(T, oracle)
+			if err != nil {
+				t.Fatalf("seed %d T=%.17g: oracle: %v", seed, T, err)
+			}
+			got, err := rg.BuildConstraints(T, nil)
+			if err != nil {
+				t.Fatalf("seed %d T=%.17g: one-shot: %v", seed, T, err)
+			}
+			constraintsEqual(t, fmt.Sprintf("seed %d T=%.17g", seed, T), want, got)
+		}
+	}
+}
+
 // TestLazyMinPeriodMatchesDense: the whole search — Tmin and the realizing
-// labeling — is bit-identical across engines on random graphs.
+// labeling — is bit-identical between the lazy engine and the W/D oracle on
+// random graphs.
 func TestLazyMinPeriodMatchesDense(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		rg := randomGraph(rng, 4+rng.Intn(7), seed%3 == 0)
-		wd := rg.WDMatrices()
-		wantT, wantR, err := rg.MinPeriodWD(1e-3, wd)
+		oracle := newOracleSource(rg, oracleWD(rg), 0)
+		wantT, wantR, _, err := rg.MinPeriod(context.Background(), oracle, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lazy := NewLazySource(rg, maxVertexDelay(rg), 0)
-		gotT, gotR, _, err := rg.MinPeriodSourceStatsContext(context.Background(), 1e-3, lazy)
+		gotT, gotR, _, err := rg.MinPeriod(context.Background(), nil, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,12 +158,12 @@ func TestLazyMinPeriodMatchesDenseBench89(t *testing.T) {
 	for _, name := range []string{"s386", "s400"} {
 		t.Run(name, func(t *testing.T) {
 			rg := bench89Graph(t, name)
-			wantT, wantR, err := rg.MinPeriodWD(1e-3, rg.WDMatrices())
+			oracle := newOracleSource(rg, oracleWD(rg), 0)
+			wantT, wantR, _, err := rg.MinPeriod(context.Background(), oracle, 1e-3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lazy := NewLazySource(rg, maxVertexDelay(rg), 0)
-			gotT, gotR, _, err := rg.MinPeriodSourceStatsContext(context.Background(), 1e-3, lazy)
+			gotT, gotR, _, err := rg.MinPeriod(context.Background(), nil, 1e-3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,11 +180,7 @@ func TestLazyMinPeriodMatchesDenseBench89(t *testing.T) {
 func TestLazyCacheEviction(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rg := randomGraph(rng, 12, false)
-	wd := rg.WDMatrices()
-	dense, err := NewDenseSource(rg, wd, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dense := newOracleSource(rg, oracleWD(rg), 0)
 	lazy := NewLazySource(rg, 0, 4) // ~one small row per shard
 	for pass := 0; pass < 3; pass++ {
 		for u := 0; u < rg.N(); u++ {
@@ -195,7 +212,7 @@ func TestLazySourceAbandonsPeriphery(t *testing.T) {
 	rg.AddEdge(a, b, 1)
 	rg.AddEdge(b, a, 1)
 	rg.AddEdge(b, c, 1)
-	lazy := NewLazySource(rg, maxVertexDelay(rg), 0)
+	lazy := NewLazySource(rg, rg.MaxDelay(), 0)
 	if row := lazy.Row(c); row != nil {
 		t.Fatalf("sink row = %v, want nil", row)
 	}
@@ -209,41 +226,16 @@ func TestLazySourceAbandonsPeriphery(t *testing.T) {
 	}
 }
 
-// TestDenseSourceMem: the dense engine reports its matrix footprint.
-func TestDenseSourceMem(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	rg := randomGraph(rng, 10, false)
-	wd := rg.WDMatrices()
-	src, err := NewDenseSource(rg, wd, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int64(rg.N()) * int64(rg.N()) * 12
-	if got := src.Mem().DenseBytes; got != want {
-		t.Fatalf("DenseBytes = %d, want %d", got, want)
-	}
-	if src.EngineName() != "dense" {
-		t.Fatalf("EngineName = %q", src.EngineName())
-	}
-	if src.MaxDBound() != wd.MaxD() {
-		t.Fatalf("MaxDBound %g != MaxD %g", src.MaxDBound(), wd.MaxD())
-	}
-}
-
-// TestLazyMaxDBound: the bound covers every finite D the dense matrices
-// hold (it is +Inf whenever a vertex reaches a cycle).
+// TestLazyMaxDBound: the bound covers every finite D the W/D oracle
+// holds (it is +Inf whenever a vertex reaches a cycle).
 func TestLazyMaxDBound(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		rg := randomGraph(rng, 4+rng.Intn(6), false)
 		lazy := NewLazySource(rg, 0, 0)
 		bound := lazy.MaxDBound()
-		wd := rg.WDMatrices()
-		if m := wd.MaxD(); m > bound && !math.IsInf(bound, 1) {
+		if m := oracleWD(rg).MaxD(); m > bound && !math.IsInf(bound, 1) {
 			t.Fatalf("seed %d: MaxD %g exceeds bound %g", seed, m, bound)
-		}
-		if lazy.EngineName() != "lazy" {
-			t.Fatalf("EngineName = %q", lazy.EngineName())
 		}
 	}
 }
@@ -255,10 +247,10 @@ func TestLazyMaxDBound(t *testing.T) {
 func TestLazyMinPeriodBudgetAbortsIndexBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rg := randomGraph(rng, 12, true)
-	src := NewLazySource(rg, maxVertexDelay(rg), 0)
+	src := NewLazySource(rg, rg.MaxDelay(), 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, _, err := rg.MinPeriodSourceStatsContext(ctx, 1e-3, src)
+	_, _, _, err := rg.MinPeriod(ctx, src, 1e-3)
 	var beb *ErrBudgetExceeded
 	if !errors.As(err, &beb) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
@@ -286,11 +278,7 @@ func TestLazyCacheScaleSheds(t *testing.T) {
 	defer SetLazyCacheScale(100)
 	rng := rand.New(rand.NewSource(3))
 	rg := randomGraph(rng, 16, false)
-	wd := rg.WDMatrices()
-	dense, err := NewDenseSource(rg, wd, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dense := newOracleSource(rg, oracleWD(rg), 0)
 	// Ample at full scale (nothing evicts) but small enough that 1% of it
 	// is below the resident pair count, so the shed has real work to do.
 	lazy := NewLazySource(rg, 0, 2048)

@@ -15,18 +15,7 @@ import (
 	"lacret/internal/job"
 	"lacret/internal/netlist"
 	"lacret/internal/obs"
-	"lacret/internal/plan"
 )
-
-// ValidateEngine rejects bad -probe-engine flag values before any planning
-// work starts (plan.NewState would catch them too, but only per pass).
-func ValidateEngine(s string) error {
-	switch s {
-	case "", plan.ProbeEngineAuto, plan.ProbeEngineDense, plan.ProbeEngineLazy:
-		return nil
-	}
-	return fmt.Errorf("unknown -probe-engine %q (want dense, lazy, or auto)", s)
-}
 
 // Source builds a job.Source from the -bench/-circuit flag pair: exactly
 // one must be set. A .bench file is inlined into the source, so the
@@ -65,7 +54,7 @@ func LoadCircuit(benchPath, circuit string) (*netlist.Netlist, error) {
 // Params mirrors the planning flags the entry points share. Zero values
 // mean "defaulted" with the same semantics the CLIs always had: the
 // request normalization fills whitespace 0.13, slack 0.2, nmax 5,
-// iterations 1, and the auto probe engine.
+// and iterations 1.
 type Params struct {
 	Blocks     int
 	Whitespace float64
@@ -80,22 +69,20 @@ type Params struct {
 	Seed       int64
 	Iterations int
 	Budget     time.Duration
-	Engine     string
 }
 
 // Config maps the flag values onto the canonical request configuration.
 func (p Params) Config() job.ReqConfig {
 	c := job.ReqConfig{
-		Blocks:      p.Blocks,
-		Whitespace:  p.Whitespace,
-		Nmax:        p.Nmax,
-		MaxIters:    p.MaxIters,
-		TclkSlack:   p.TclkSlack,
-		Tclk:        p.Tclk,
-		Seed:        p.Seed,
-		Iterations:  p.Iterations,
-		BudgetMS:    p.Budget.Milliseconds(),
-		ProbeEngine: p.Engine,
+		Blocks:     p.Blocks,
+		Whitespace: p.Whitespace,
+		Nmax:       p.Nmax,
+		MaxIters:   p.MaxIters,
+		TclkSlack:  p.TclkSlack,
+		Tclk:       p.Tclk,
+		Seed:       p.Seed,
+		Iterations: p.Iterations,
+		BudgetMS:   p.Budget.Milliseconds(),
 	}
 	if p.AlphaSet {
 		a := p.Alpha

@@ -7,19 +7,6 @@ import (
 	"time"
 )
 
-func TestValidateEngineFlag(t *testing.T) {
-	for _, ok := range []string{"", "auto", "dense", "lazy"} {
-		if err := ValidateEngine(ok); err != nil {
-			t.Errorf("%q rejected: %v", ok, err)
-		}
-	}
-	for _, bad := range []string{"eager", "DENSE", "lazy ", "matrix"} {
-		if err := ValidateEngine(bad); err == nil {
-			t.Errorf("%q accepted", bad)
-		}
-	}
-}
-
 func TestLoadCircuitScaleTier(t *testing.T) {
 	nl, err := LoadCircuit("", "s100k")
 	if err != nil {
@@ -78,7 +65,7 @@ func TestParamsConfig(t *testing.T) {
 	p := Params{
 		Blocks: 3, Whitespace: 0.2, Nmax: 7, MaxIters: 11,
 		TclkSlack: 0.3, Tclk: 1.5, Seed: 42, Iterations: 2,
-		Budget: 1500 * time.Millisecond, Engine: "lazy",
+		Budget: 1500 * time.Millisecond,
 	}
 	c := p.Config()
 	if c.BudgetMS != 1500 {
@@ -88,7 +75,7 @@ func TestParamsConfig(t *testing.T) {
 		t.Fatalf("alpha set without AlphaSet: %v", *c.Alpha)
 	}
 	if c.Blocks != 3 || c.Nmax != 7 || c.MaxIters != 11 || c.Seed != 42 ||
-		c.Iterations != 2 || c.ProbeEngine != "lazy" {
+		c.Iterations != 2 {
 		t.Fatalf("config %+v", c)
 	}
 
@@ -110,7 +97,7 @@ func TestParamsConfig(t *testing.T) {
 }
 
 // TestParamsRequest checks the assembled request normalizes with the CLI
-// defaults (whitespace 0.13, slack 0.2, nmax 5, auto engine).
+// defaults (whitespace 0.13, slack 0.2, nmax 5).
 func TestParamsRequest(t *testing.T) {
 	src, err := Source("", "s386")
 	if err != nil {
@@ -124,9 +111,6 @@ func TestParamsRequest(t *testing.T) {
 	cfg := req.PlanConfig()
 	if cfg.Whitespace != 0.13 || cfg.TclkSlack != 0.2 || cfg.LAC.Nmax != 5 {
 		t.Fatalf("defaults not applied: %+v", cfg)
-	}
-	if cfg.ProbeEngine != "auto" {
-		t.Fatalf("engine %q", cfg.ProbeEngine)
 	}
 }
 

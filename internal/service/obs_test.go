@@ -281,6 +281,11 @@ func TestRequestLogging(t *testing.T) {
 
 	_, jr := postJob(t, ts, `{"source":{"circuit":"s386"},"config":{"seed":1}}`)
 	pollDone(t, ts, jr.ID)
+	// Stop both log writers before reading the buffer: the middleware
+	// writes a request's line after the client has its response, and the
+	// worker writes the job's last line after the job turns done.
+	ts.Close()
+	mgr.Shutdown(context.Background())
 
 	var sawSubmit, sawGet, sawAccepted bool
 	for _, raw := range strings.Split(buf.String(), "\n") {

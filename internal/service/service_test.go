@@ -276,6 +276,33 @@ func TestBackpressure429(t *testing.T) {
 	}
 }
 
+// TestLegacyProbeEngineAccepted: requests from clients that still send the
+// retired probe_engine field are accepted for every value it ever took and
+// land on one digest (TestBadRequests keeps any other value a 400).
+func TestLegacyProbeEngineAccepted(t *testing.T) {
+	mgr := job.NewManager(job.Options{Workers: 1, QueueDepth: 8,
+		Run: func(ctx context.Context, r *job.PlanRequest, trace func(plan.StageEvent)) (*job.RunResult, error) {
+			return &job.RunResult{Circuit: r.Source.Label()}, nil
+		}})
+	defer mgr.Shutdown(context.Background())
+	ts := httptest.NewServer(service.New(mgr))
+	defer ts.Close()
+
+	var digest string
+	for _, engine := range []string{"", "auto", "dense", "lazy"} {
+		body := `{"source":{"circuit":"s386"},"config":{"seed":1,"probe_engine":"` + engine + `"}}`
+		resp, jr := postJob(t, ts, body)
+		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+			t.Fatalf("probe_engine %q: status %d", engine, resp.StatusCode)
+		}
+		if digest == "" {
+			digest = jr.Digest
+		} else if jr.Digest != digest {
+			t.Fatalf("probe_engine %q: digest %s, want %s", engine, jr.Digest, digest)
+		}
+	}
+}
+
 // TestBadRequests covers the 4xx surface: malformed body, unknown fields,
 // invalid config, unknown job IDs, and a report demanded too early.
 func TestBadRequests(t *testing.T) {
