@@ -41,7 +41,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed (0 = the circuit's catalog seed)")
 		iterations = flag.Int("iterations", 1, "planning iterations (floorplan expansion between)")
 		tilemap    = flag.Bool("tilemap", false, "print the tile map (Figure 2)")
-		verbose    = flag.Bool("v", false, "print per-stage timings and per-iteration LAC telemetry")
+		verbose    = flag.Bool("v", false, "print the stage trace (wall time + counters) and per-round LAC telemetry")
 		trace      = flag.Bool("trace", false, "stream one line per pipeline stage as it completes (wall time + counters)")
 		sharing    = flag.Bool("sharing", false, "also run fanout-sharing-aware min-area retiming (extension)")
 		checkFlag  = flag.Bool("check", false, "verify every reported number by independent recomputation")
@@ -227,8 +227,7 @@ func reportPartial(res *plan.Result) {
 		fmt.Printf("  periods: Tinit=%.3f ns  Tmin=%.3f ns  Tclk=%.3f ns\n", res.Tinit, res.Tmin, res.Tclk)
 	}
 	if res.Probe.Probes > 0 {
-		fmt.Printf("  period probes: %d (%d warm, %d witness-rejected)  pairs scanned: %d of %d indexed\n",
-			res.Probe.Probes, res.Probe.Warm, res.Probe.WitnessRejects, res.Probe.PairsScanned, res.Probe.IndexPairs)
+		fmt.Printf("  period probes: %s\n", formatProbe(res.Probe))
 	}
 	if res.MinArea != nil {
 		fmt.Printf("  min-area retiming: N_FOA=%d  N_F=%d\n", res.MinArea.NFOA, res.MinArea.NF)
@@ -236,6 +235,13 @@ func reportPartial(res *plan.Result) {
 	if res.LAC != nil {
 		fmt.Printf("  LAC-retiming:      N_FOA=%d  N_F=%d  N_wr=%d\n", res.LAC.NFOA, res.LAC.NF, res.LAC.NWR)
 	}
+}
+
+// formatProbe renders the period search's probe counters. Pairs are
+// scanned across all probes, so the scan count can exceed the index size.
+func formatProbe(p retime.ProbeStats) string {
+	return fmt.Sprintf("%d (%d warm, %d witness-rejected)  pairs scanned: %d (%d indexed)",
+		p.Probes, p.Warm, p.WitnessRejects, p.PairsScanned, p.IndexPairs)
 }
 
 // formatProbeMem renders the constraint source's cache and sweep counters.
@@ -255,8 +261,7 @@ func report(res *plan.Result, tilemap, verbose bool) {
 	fmt.Printf("repeaters: %d inserted, %d interconnect units\n", res.RepeaterCount, res.WireUnits)
 	fmt.Printf("periods: Tinit=%.3f ns  Tmin=%.3f ns  Tclk=%.3f ns\n", res.Tinit, res.Tmin, res.Tclk)
 	if res.Probe.Probes > 0 {
-		fmt.Printf("period probes: %d (%d warm, %d witness-rejected)  pairs scanned: %d of %d indexed\n",
-			res.Probe.Probes, res.Probe.Warm, res.Probe.WitnessRejects, res.Probe.PairsScanned, res.Probe.IndexPairs)
+		fmt.Printf("period probes: %s\n", formatProbe(res.Probe))
 	}
 	fmt.Printf("constraint source: %s\n", formatProbeMem(res.ProbeMem))
 	if res.TminLo > 0 {
@@ -267,19 +272,21 @@ func report(res *plan.Result, tilemap, verbose bool) {
 		fmt.Printf("budget-degraded stages: %s\n", strings.Join(ts, ", "))
 	}
 	fmt.Printf("min-area retiming: N_FOA=%d  N_F=%d  N_FN=%d  (%.2fs)\n",
-		res.MinArea.NFOA, res.MinArea.NF, res.MinAreaNFN, res.MinAreaTime.Seconds())
+		res.MinArea.NFOA, res.MinArea.NF, res.MinAreaNFN, res.StageWall("minarea").Seconds())
 	fmt.Printf("LAC-retiming:      N_FOA=%d  N_F=%d  N_FN=%d  N_wr=%d  (%.2fs)\n",
-		res.LAC.NFOA, res.LAC.NF, res.LACNFN, res.LAC.NWR, res.LACTime.Seconds())
+		res.LAC.NFOA, res.LAC.NF, res.LACNFN, res.LAC.NWR, res.StageWall("lac").Seconds())
 	if res.MinArea.NFOA > 0 {
 		fmt.Printf("N_FOA decrease: %.0f%%\n", res.DecreasePct())
 	}
 	if verbose {
 		for i, it := range res.LAC.Iters {
-			fmt.Printf("  round %d: N_FOA=%d registers=%d worst AC/C=%.2f\n",
-				i+1, it.NFOA, it.Registers, it.MaxRatio)
+			fmt.Printf("  round %d: N_FOA=%d registers=%d worst AC/C=%.2f  %.3fms\n",
+				i+1, it.NFOA, it.Registers, it.MaxRatio, float64(it.Duration.Microseconds())/1000)
 		}
 		fmt.Println("stage timings:")
-		fmt.Print(res.Timings.String())
+		for _, ev := range res.Trace {
+			fmt.Printf("  %s\n", ev)
+		}
 	}
 	if tilemap {
 		fmt.Println("tile map ('.' free, letters = soft blocks, '#' hard):")

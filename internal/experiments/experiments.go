@@ -77,14 +77,12 @@ type Row struct {
 	// ran, the first-pass count otherwise); NaN-free: -1 when min-area had
 	// no violations (printed as N/A).
 	DecreasePct float64
-	// Timings is the per-stage instrumentation of the first planning pass.
-	Timings plan.Timings
 	// Trace concatenates the stage events of every planning pass this row
 	// ran (the second pass's reused partition appears as a Skipped event).
 	Trace []plan.StageEvent
 	// Err is set by the parallel driver when planning this circuit failed
-	// or panicked; Trace and Timings still describe the stages that
-	// completed before the failure, but the table columns are meaningless.
+	// or panicked; Trace still describes the stages that completed before
+	// the failure, but the table columns are meaningless.
 	Err string
 }
 
@@ -183,7 +181,6 @@ func Table1RowContext(ctx context.Context, name string, cfg plan.Config) (*Row, 
 		// the pass died.
 		row := &Row{Circuit: name, NFOA2: -1, DecreasePct: -1}
 		if res := iters[0].Result; res != nil {
-			row.Timings = res.Timings
 			row.Trace = append([]plan.StageEvent(nil), res.Trace...)
 		}
 		return row, fmt.Errorf("experiments: %s: %v", name, iters[0].Err)
@@ -194,15 +191,14 @@ func Table1RowContext(ctx context.Context, name string, cfg plan.Config) (*Row, 
 		TclkNS:  res.Tclk, TinitNS: res.Tinit, TminNS: res.Tmin,
 		MinArea: Side{
 			NFOA: res.MinArea.NFOA, NF: res.MinArea.NF,
-			NFN: res.MinAreaNFN, NWR: res.MinArea.NWR, Texec: res.MinAreaTime,
+			NFN: res.MinAreaNFN, NWR: res.MinArea.NWR, Texec: res.StageWall("minarea"),
 		},
 		LAC: Side{
 			NFOA: res.LAC.NFOA, NF: res.LAC.NF,
-			NFN: res.LACNFN, NWR: res.LAC.NWR, Texec: res.LACTime,
+			NFN: res.LACNFN, NWR: res.LAC.NWR, Texec: res.StageWall("lac"),
 		},
-		NFOA2:   -1,
-		Timings: res.Timings,
-		Trace:   append([]plan.StageEvent(nil), res.Trace...),
+		NFOA2: -1,
+		Trace: append([]plan.StageEvent(nil), res.Trace...),
 	}
 	if len(iters) > 1 {
 		// Second planning iteration after floorplan expansion, keeping
@@ -341,7 +337,6 @@ func planRow(ctx context.Context, name string, cfg plan.Config, rec *obs.Recorde
 	if err != nil {
 		row := Row{Circuit: name, NFOA2: -1, DecreasePct: -1, Err: err.Error()}
 		if p != nil {
-			row.Timings = p.Timings
 			row.Trace = p.Trace
 		}
 		return row

@@ -168,7 +168,7 @@ func TestSecondIterationDrivesDecrease(t *testing.T) {
 }
 
 // canonicalRow serializes every deterministic field of a row; the wall-time
-// fields (Texec, Timings) are inherently run-dependent and excluded.
+// fields (Texec, the trace walls) are inherently run-dependent and excluded.
 func canonicalRow(r Row) string {
 	return fmt.Sprintf("%s|%v|%v|%v|%d %d %d %d|%d %d %d %d|%d|%s|%v|%s",
 		r.Circuit, r.TclkNS, r.TinitNS, r.TminNS,

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"lacret/internal/obs"
 	"lacret/internal/plan"
 )
 
@@ -135,7 +136,7 @@ func TestManagerRecoversPendingAndResumes(t *testing.T) {
 // served as cache hits — byte-for-byte — by the next incarnation.
 func TestManagerCacheSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	m1, err := Open(Options{DataDir: dir, Workers: 1, Run: doneRun})
+	m1, err := Open(Options{DataDir: dir, Workers: 1, Run: spanRun})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +149,10 @@ func TestManagerCacheSurvivesRestart(t *testing.T) {
 		t.Fatalf("job ended %s: %s", j1.State(), j1.Status().Err)
 	}
 	want := j1.Outcome().Report
+	wantTrace := spanShape(j1.Outcome().Trace)
+	if wantTrace != "pass(partition(round,round),route)" {
+		t.Fatalf("first run traced %q", wantTrace)
+	}
 	if err := m1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +177,40 @@ func TestManagerCacheSurvivesRestart(t *testing.T) {
 	if string(j2.Outcome().Report) != string(want) {
 		t.Fatal("restarted cache served different report bytes")
 	}
+	// The trace endpoint serves only the persisted span forest, so the
+	// cache hit must carry the first run's tree, not a reconstruction.
+	if got := spanShape(j2.Outcome().Trace); got != wantTrace {
+		t.Fatalf("restarted cache served trace %q, want %q", got, wantTrace)
+	}
+}
+
+// spanRun completes instantly after opening a small span tree under the
+// job's recorder, the shape a planning pass leaves behind.
+func spanRun(ctx context.Context, req *PlanRequest, trace func(plan.StageEvent)) (*RunResult, error) {
+	pctx, pass := obs.StartSpan(ctx, "pass")
+	sctx, part := obs.StartSpan(pctx, "partition")
+	for i := 0; i < 2; i++ {
+		_, r := obs.StartSpan(sctx, "round")
+		r.SetAttr("i", float64(i))
+		r.End()
+	}
+	part.End()
+	_, rt := obs.StartSpan(pctx, "route")
+	rt.End()
+	pass.End()
+	return doneRun(ctx, req, trace)
+}
+
+// spanShape renders a span forest's names and nesting, e.g. "a(b,c)".
+func spanShape(spans []*obs.Span) string {
+	parts := make([]string, len(spans))
+	for i, sp := range spans {
+		parts[i] = sp.Name
+		if len(sp.Children) > 0 {
+			parts[i] += "(" + spanShape(sp.Children) + ")"
+		}
+	}
+	return strings.Join(parts, ",")
 }
 
 // TestDrainCancelsQueuedJobPersistently: a queued job canceled by an

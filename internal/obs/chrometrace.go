@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 )
 
 // TraceTrack is one timeline row of a Chrome trace: a named thread (tid)
@@ -69,46 +68,6 @@ func WriteChromeTrace(w io.Writer, tracks []TraceTrack) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(out)
-}
-
-// Tracks reconstructs a trace-track view from a decoded run report: one
-// track per planning pass, one synthesized span per stage (the report
-// keeps each stage's wall time and its recorded sub-spans, but not the
-// stage's own start offset — it is recovered from the earliest sub-span
-// when the stage has any, and from the running sum of prior stage walls
-// otherwise). This is the fallback path for jobs whose live span forest
-// is gone — a daemon restart, a cache rebuilt from disk — where the
-// report bytes are all that survive; the sub-spans keep their exact
-// recorded offsets, only the stage envelopes are approximate.
-func (r *Report) Tracks() []TraceTrack {
-	tracks := make([]TraceTrack, 0, len(r.Passes))
-	for _, p := range r.Passes {
-		tr := TraceTrack{Name: fmt.Sprintf("pass %d", p.Index)}
-		var cursor time.Duration
-		for _, st := range p.Stages {
-			start := cursor
-			if len(st.Spans) > 0 {
-				start = st.Spans[0].Start
-				for _, sp := range st.Spans[1:] {
-					if sp.Start < start {
-						start = sp.Start
-					}
-				}
-			}
-			sp := &Span{
-				Name:     st.Name,
-				Start:    start,
-				Dur:      time.Duration(st.WallNS),
-				Children: st.Spans,
-			}
-			tr.Spans = append(tr.Spans, sp)
-			if end := start + sp.Dur; end > cursor {
-				cursor = end
-			}
-		}
-		tracks = append(tracks, tr)
-	}
-	return tracks
 }
 
 func appendSpanEvents(events []chromeEvent, sp *Span, tid int) []chromeEvent {

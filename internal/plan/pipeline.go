@@ -23,7 +23,7 @@ import (
 // reproduces the paper's flow, and callers may run a custom list — or one
 // stage at a time — through PlanState.Run.
 type Stage interface {
-	// Name identifies the stage in trace events and timing buckets.
+	// Name identifies the stage in trace events and budget weights.
 	Name() string
 	// Run executes the stage against the state. cfg carries the resolved
 	// configuration (NewState fills in defaults). ctx carries cancellation
@@ -179,11 +179,9 @@ type PlanState struct {
 	Constraints *retime.Constraints
 
 	// Result accumulates the reported outcome; stages fill their fields as
-	// they run and the driver finalizes the timings.
+	// they run.
 	Result *Result
 
-	start     time.Time
-	tm        Timings
 	satisfied map[string]bool // stages covered by reused state
 	truncated map[string]bool // stages that degraded at the budget deadline
 	// restoredPeriods carries a resumed checkpoint's period-search outcome:
@@ -206,7 +204,6 @@ func (st *PlanState) noteTruncated(stage string) {
 // defaults in place (technology, slack, whitespace, balance tolerance),
 // and returns a fresh pipeline state ready for Run.
 func NewState(nl *netlist.Netlist, cfg *Config) (*PlanState, error) {
-	start := time.Now()
 	if err := nl.Validate(); err != nil {
 		return nil, err
 	}
@@ -237,7 +234,6 @@ func NewState(nl *netlist.Netlist, cfg *Config) (*PlanState, error) {
 	return &PlanState{
 		Netlist: nl, Tech: tc, Stats: stats,
 		Result: &Result{Name: nl.Name, Stats: stats, Netlist: nl},
-		start:  start,
 	}, nil
 }
 
@@ -272,8 +268,7 @@ func (st *PlanState) ReusePartition(prev *PlanState) error {
 
 // Run executes the stages in order against the state. Stages satisfied by
 // reused state emit a Skipped trace event instead of running. Each event
-// is appended to Result.Trace and, when set, delivered to cfg.Trace; wall
-// times land in the matching Result.Timings bucket.
+// is appended to Result.Trace and, when set, delivered to cfg.Trace.
 func (st *PlanState) Run(stages []Stage, cfg *Config) error {
 	return st.RunContext(context.Background(), stages, cfg)
 }
@@ -313,7 +308,6 @@ func (st *PlanState) RunContext(ctx context.Context, stages []Stage, cfg *Config
 			ev.Skipped = true
 		} else {
 			if err := ctx.Err(); err != nil {
-				st.finish()
 				return fmt.Errorf("plan: stage %s not run: %w", s.Name(), err)
 			}
 			gStage.Set(s.Name())
@@ -324,7 +318,6 @@ func (st *PlanState) RunContext(ctx context.Context, stages []Stage, cfg *Config
 			ssp.End()
 			cancel()
 			ev.Wall = time.Since(t0)
-			st.tm.record(s.Name(), ev.Wall)
 			ev.Truncated = st.truncated[s.Name()]
 			if ssp != nil {
 				ev.Sub = ssp.Children
@@ -335,7 +328,6 @@ func (st *PlanState) RunContext(ctx context.Context, stages []Stage, cfg *Config
 					ev.Recovered = serr.Recovered()
 				}
 				st.emit(ev, s, cfg)
-				st.finish()
 				return err
 			}
 			// The stage committed (commit-at-end discipline: the state now
@@ -351,7 +343,6 @@ func (st *PlanState) RunContext(ctx context.Context, stages []Stage, cfg *Config
 		}
 		st.emit(ev, s, cfg)
 	}
-	st.finish()
 	return nil
 }
 
@@ -435,16 +426,7 @@ func (bs *budgetState) stageContext(ctx context.Context, stage string) (context.
 	return context.WithDeadline(ctx, d)
 }
 
-// finish reconciles the timing bookkeeping after a (partial or complete)
-// pipeline run.
-func (st *PlanState) finish() {
-	st.tm.Total = time.Since(st.start)
-	res := st.Result
-	res.MinAreaTime, res.LACTime = st.tm.MinArea, st.tm.LAC
-	res.Timings = st.tm
-}
-
-// Canonical stage names (trace events, timing buckets, skip bookkeeping).
+// Canonical stage names (trace events, budget weights, skip bookkeeping).
 const (
 	stagePartition   = "partition"
 	stageFloorplan   = "floorplan"
@@ -467,35 +449,5 @@ func DefaultStages() []Stage {
 		partitionStage{}, floorplanStage{}, gridStage{}, routeStage{},
 		repeaterStage{}, graphStage{}, periodsStage{}, constraintsStage{},
 		minAreaStage{}, lacStage{},
-	}
-}
-
-// record charges a stage's wall time to its Timings bucket. Repeater
-// planning and retiming-graph construction share a bucket, preserving the
-// pre-pipeline meaning of Timings.Repeaters.
-func (t *Timings) record(stage string, d time.Duration) {
-	switch stage {
-	case stagePartition:
-		t.Partition += d
-	case stageFloorplan:
-		t.Floorplan += d
-	case stageGrid:
-		t.TileGrid += d
-	case stageRoute:
-		t.Route += d
-	case stageRepeaters, stageGraph:
-		t.Repeaters += d
-	case stagePeriods:
-		t.Periods += d
-	case stageConstraints:
-		t.Constraints += d
-	case stageMinArea:
-		t.MinArea += d
-	case stageLAC:
-		t.LAC += d
-	default:
-		// Custom stages outside the canonical list land in Other rather
-		// than vanishing from the timing totals.
-		t.Other += d
 	}
 }

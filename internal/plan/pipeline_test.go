@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"lacret/internal/bench89"
 	"lacret/internal/core"
@@ -151,6 +152,42 @@ func TestPlanEmitsTraceEvents(t *testing.T) {
 	}
 }
 
+// TestPlanTracesStageWalls: the stage events are the pass's timing record.
+// Every default stage runs exactly once with a non-negative wall, and
+// StageWall reads the two retiming modes' Texec straight off those events.
+func TestPlanTracesStageWalls(t *testing.T) {
+	nl := smallCircuit(t)
+	res, err := Plan(nl, Config{Seed: 1, FloorplanMoves: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wall := map[string]time.Duration{}
+	for _, name := range defaultStageNames {
+		n := 0
+		for _, ev := range res.Trace {
+			if ev.Stage != name || ev.Skipped {
+				continue
+			}
+			n++
+			if ev.Wall < 0 {
+				t.Fatalf("stage %s has negative wall %v", name, ev.Wall)
+			}
+			wall[name] = ev.Wall
+		}
+		if n != 1 {
+			t.Fatalf("stage %s has %d executed events, want 1", name, n)
+		}
+	}
+	for _, name := range []string{"minarea", "lac"} {
+		if got := res.StageWall(name); got != wall[name] {
+			t.Fatalf("StageWall(%q) = %v, event wall %v", name, got, wall[name])
+		}
+	}
+	if len(res.LAC.Iters) != res.LAC.NWR {
+		t.Fatalf("%d LAC round stats for NWR=%d", len(res.LAC.Iters), res.LAC.NWR)
+	}
+}
+
 // TestPipelineStageByStage drives the stages one at a time through the
 // public API and checks the outcome matches the one-shot driver.
 func TestPipelineStageByStage(t *testing.T) {
@@ -213,8 +250,8 @@ func TestReusePartitionSkipsStage(t *testing.T) {
 			t.Fatalf("stage %s unexpectedly skipped", ev.Stage)
 		}
 	}
-	if reused.Timings.Partition != 0 {
-		t.Fatalf("skipped partition charged %v", reused.Timings.Partition)
+	if d := reused.StageWall("partition"); d != 0 {
+		t.Fatalf("skipped partition charged %v", d)
 	}
 	if reused.Tinit != ref.Tinit || reused.Tmin != ref.Tmin || reused.Tclk != ref.Tclk ||
 		reused.LAC.NFOA != ref.LAC.NFOA || reused.LAC.NF != ref.LAC.NF ||

@@ -173,12 +173,6 @@ type Result struct {
 	// NFN: flip-flops inside interconnects (wire-unit tails).
 	MinAreaNFN, LACNFN int
 
-	MinAreaTime, LACTime, PrepTime time.Duration
-
-	// Timings breaks the pass down per stage (see Timings); MinAreaTime,
-	// LACTime, and PrepTime are retained as coarse aggregates.
-	Timings Timings
-
 	// Trace lists the pipeline's stage events in execution order (the
 	// same events Config.Trace streams), including Skipped entries for
 	// stages satisfied by reused state on planning iteration ≥ 2.
@@ -192,6 +186,19 @@ type Result struct {
 	// (version/netlist/seed mismatch, corrupt bytes); the pass then ran
 	// from scratch.
 	ResumeRejected string
+}
+
+// StageWall sums the wall time of the executed (non-skipped) events of the
+// named stage — "minarea" and "lac" are the two retiming modes' Texec.
+// Zero when the stage did not run or was satisfied by reused state.
+func (r *Result) StageWall(stage string) time.Duration {
+	var d time.Duration
+	for _, ev := range r.Trace {
+		if ev.Stage == stage && !ev.Skipped {
+			d += ev.Wall
+		}
+	}
+	return d
 }
 
 // TruncatedStages lists the stages whose events carry the Truncated flag —

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"time"
 
 	"lacret/internal/core"
 	"lacret/internal/obs"
@@ -154,15 +153,13 @@ func (constraintsStage) Counters(st *PlanState) []Counter {
 }
 
 // minAreaStage runs the plain minimum-area retiming baseline (one
-// min-cost-flow solve, no tile awareness). It opens the retiming half of
-// the pipeline, so it also closes out Result.PrepTime.
+// min-cost-flow solve, no tile awareness).
 type minAreaStage struct{}
 
 func (minAreaStage) Name() string { return stageMinArea }
 
 func (minAreaStage) Run(ctx context.Context, st *PlanState, cfg *Config) error {
 	res := st.Result
-	res.PrepTime = time.Since(st.start)
 	ma, err := res.Problem.MinAreaBaseline()
 	if err != nil {
 		return err
@@ -216,9 +213,6 @@ func (lacStage) Run(ctx context.Context, st *PlanState, cfg *Config) error {
 	}
 	res.LAC = lac
 	res.LACNFN = CountInterconnectFFs(lac.Retimed)
-	for _, it := range lac.Iters {
-		st.tm.LACRounds = append(st.tm.LACRounds, it.Duration)
-	}
 	return nil
 }
 

@@ -42,7 +42,6 @@ type LazySource struct {
 	floor  float64
 	cut    float64
 	suffix []float64
-	maxUB  float64
 	shards []lazyShard
 
 	sweeps    atomic.Int64
@@ -134,11 +133,6 @@ func NewLazySource(rg *Graph, floor float64, cachePairs int64) *LazySource {
 		suffix: rg.g.DelaySuffixBound(rg.delay),
 		shards: make([]lazyShard, nshards),
 	}
-	for v := 0; v < rg.N(); v++ {
-		if ub := rg.delay[v] + ls.suffix[v]; ub > ls.maxUB {
-			ls.maxUB = ub
-		}
-	}
 	per := cachePairs / int64(nshards)
 	if per < 1 {
 		per = 1
@@ -156,13 +150,6 @@ func NewLazySource(rg *Graph, floor float64, cachePairs int64) *LazySource {
 
 func (ls *LazySource) N() int         { return ls.rg.N() }
 func (ls *LazySource) Floor() float64 { return ls.floor }
-
-// MaxDBound returns max_v(delay[v] + suffix[v]) — an upper bound on every
-// path delay, hence on every finite D. It is +Inf when some vertex reaches
-// a cycle (almost always for a sequential circuit); the period search
-// brackets from the unretimed period instead, so the bound only matters
-// for feed-forward graphs, where it is exact.
-func (ls *LazySource) MaxDBound() float64 { return ls.maxUB }
 
 func (ls *LazySource) Mem() SourceMem {
 	return SourceMem{

@@ -84,10 +84,9 @@ func newOracleSource(rg *Graph, wd *WD, floor float64) ConstraintSource {
 	return &oracleSource{rg: rg, wd: wd, floor: floor, cut: activation(floor)}
 }
 
-func (o *oracleSource) N() int             { return o.wd.N }
-func (o *oracleSource) Floor() float64     { return o.floor }
-func (o *oracleSource) MaxDBound() float64 { return o.wd.MaxD() }
-func (o *oracleSource) Mem() SourceMem     { return SourceMem{} }
+func (o *oracleSource) N() int         { return o.wd.N }
+func (o *oracleSource) Floor() float64 { return o.floor }
+func (o *oracleSource) Mem() SourceMem { return SourceMem{} }
 func (o *oracleSource) Row(u int) []SourcePair {
 	Wu, Du := o.wd.W[u], o.wd.D[u]
 	var row []SourcePair

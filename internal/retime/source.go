@@ -49,9 +49,9 @@ type SourceMem struct {
 // source vertex u, the register-minimal pairs whose clock constraint can
 // activate at some period above the source's floor, ready for constraint
 // generation (ClockConstraints) and for the FeasSolver's D-sorted
-// activation index. It also bounds the period search: no period at or
-// below Floor() can be asked about, and no finite D exceeds MaxDBound(),
-// so Tmin candidates live in (Floor(), MaxDBound() ∪ {unretimed period}].
+// activation index. It also bounds the period search from below: no
+// period at or below Floor() can be asked about, so Tmin candidates live
+// in (Floor(), unretimed period].
 //
 // The production implementation is the lazy on-demand per-source sweep
 // engine (NewLazySource); the package tests check it against an all-pairs
@@ -70,9 +70,6 @@ type ConstraintSource interface {
 	// (D ≤ DPrune). The returned slice is shared — callers must not
 	// modify it. Row is safe for concurrent use.
 	Row(u int) []SourcePair
-	// MaxDBound is an upper bound on every finite D value: no clock
-	// constraint exists above it.
-	MaxDBound() float64
 	// Mem reports the source's memory/work accounting.
 	Mem() SourceMem
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -223,20 +222,6 @@ func TestLazySourceAbandonsPeriphery(t *testing.T) {
 	lazy.Row(a)
 	if mem := lazy.Mem(); mem.Sweeps == 0 {
 		t.Fatalf("cyclic-core source did not sweep: %+v", mem)
-	}
-}
-
-// TestLazyMaxDBound: the bound covers every finite D the W/D oracle
-// holds (it is +Inf whenever a vertex reaches a cycle).
-func TestLazyMaxDBound(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		rg := randomGraph(rng, 4+rng.Intn(6), false)
-		lazy := NewLazySource(rg, 0, 0)
-		bound := lazy.MaxDBound()
-		if m := oracleWD(rg).MaxD(); m > bound && !math.IsInf(bound, 1) {
-			t.Fatalf("seed %d: MaxD %g exceeds bound %g", seed, m, bound)
-		}
 	}
 }
 

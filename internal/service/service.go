@@ -333,9 +333,9 @@ type traceResponse struct {
 // trace serves a terminal job's span forest — the hierarchical sub-stage
 // timeline internal/obs collected while the job ran — as JSON, or as
 // Chrome trace-event format with ?format=chrome (load the body in
-// chrome://tracing or ui.perfetto.dev). The forest normally comes from
-// the outcome captured at run end; for outcomes recovered from a store
-// without one, the stage spans are reconstructed from the report.
+// chrome://tracing or ui.perfetto.dev). The forest is the one captured at
+// run end and persisted with the outcome, so it survives a restart; the
+// report supplies the circuit name and metrics.
 func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(w, r)
 	if !ok {
@@ -346,7 +346,7 @@ func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := j.Outcome()
-	if out == nil || (len(out.Trace) == 0 && len(out.Report) == 0) {
+	if out == nil || len(out.Trace) == 0 {
 		writeError(w, http.StatusNotFound, "job %s produced no trace", j.ID())
 		return
 	}
@@ -354,20 +354,9 @@ func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 	if len(out.Report) > 0 {
 		rep, _ = obs.DecodeReport(out.Report)
 	}
-	spans := out.Trace
-	var tracks []obs.TraceTrack
-	switch {
-	case len(spans) > 0:
-		tracks = []obs.TraceTrack{{Name: j.ID(), Spans: spans}}
-	case rep != nil:
-		tracks = rep.Tracks()
-		for _, tr := range tracks {
-			spans = append(spans, tr.Spans...)
-		}
-	}
 	switch r.URL.Query().Get("format") {
 	case "", "json":
-		resp := traceResponse{ID: j.ID(), State: j.State(), Spans: spans}
+		resp := traceResponse{ID: j.ID(), State: j.State(), Spans: out.Trace}
 		if rep != nil {
 			resp.Circuit = rep.Circuit
 			resp.Metrics = rep.Metrics
@@ -375,7 +364,7 @@ func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 	case "chrome":
 		w.Header().Set("Content-Type", "application/json")
-		_ = obs.WriteChromeTrace(w, tracks)
+		_ = obs.WriteChromeTrace(w, []obs.TraceTrack{{Name: j.ID(), Spans: out.Trace}})
 	default:
 		writeError(w, http.StatusBadRequest, "unknown trace format %q (want json or chrome)", r.URL.Query().Get("format"))
 	}
