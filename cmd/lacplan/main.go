@@ -50,7 +50,7 @@ func main() {
 		budget     = flag.Duration("budget", 0, "wall-clock budget per planning pass (e.g. 30s); anytime stages degrade to best-so-far at the deadline (0 = unbounded)")
 		reportOut  = flag.String("report", "", "write a versioned JSON run report (stages, sub-stage spans, metrics) to this file")
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event file (load in chrome://tracing or Perfetto) to this file")
-		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof and expvar live gauges on this address (e.g. localhost:8077)")
+		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof and live Prometheus /metrics on this address (e.g. localhost:8077)")
 		checkRep   = flag.String("check-report", "", "validate a previously written run report (schema version + structure) and exit")
 	)
 	flag.Parse()

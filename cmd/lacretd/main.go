@@ -34,6 +34,9 @@
 // route and status. -log-format json feeds a collector; -log-level debug
 // adds per-request lines. The operational endpoints — /metrics
 // (Prometheus text format), /healthz, /readyz — live on the main listener.
+// -debug-addr adds /debug/pprof/ and a second /metrics over the same
+// registry; its job_heap_bytes and job_goroutines gauges are refreshed
+// only when the main listener's /metrics or /v1/stats is read.
 package main
 
 import (
@@ -60,7 +63,7 @@ func main() {
 		queue          = flag.Int("queue", 0, "queued-job bound before submissions are rejected with 429 (0 = 2x workers)")
 		cache          = flag.Int("cache", 64, "content-addressed result-cache entries (negative disables)")
 		grace          = flag.Duration("grace", 30*time.Second, "drain window on SIGINT/SIGTERM before in-flight jobs are cut to best-so-far")
-		debugAddr      = flag.String("debug-addr", "", "serve net/http/pprof and expvar live gauges on this address (e.g. localhost:8077)")
+		debugAddr      = flag.String("debug-addr", "", "serve net/http/pprof and a second /metrics on this address (e.g. localhost:8077)")
 		dataDir        = flag.String("data-dir", "", "durable state directory (job journal, checkpoints, reports); empty = in-memory only")
 		maxMem         = flag.String("max-mem", "", "memory limit for admission control, e.g. 2GiB (empty = GOMEMLIMIT when set, else unlimited)")
 		crashAfterCkpt = flag.Int("crash-after-checkpoint", 0, "TESTING: exit the process immediately after the Nth checkpoint save")

@@ -42,7 +42,7 @@ func main() {
 		budget    = flag.Duration("budget", 0, "wall-clock budget per planning pass (e.g. 30s); anytime stages degrade to best-so-far at the deadline (0 = unbounded)")
 		reportDir = flag.String("report", "", "write one versioned JSON run report per circuit into this directory")
 		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event file of the worker-pool timeline to this file")
-		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof and expvar live gauges on this address (e.g. localhost:8077)")
+		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof and live Prometheus /metrics on this address (e.g. localhost:8077)")
 	)
 	flag.Parse()
 

@@ -203,9 +203,7 @@ func TestGenerousBudgetBitIdentical(t *testing.T) {
 		return res
 	}
 	base := run(plan.Budget{})
-	generous := run(plan.Budget{Wall: time.Hour, Weights: map[string]float64{
-		"periods": 2, "route": 1, "lac": 3,
-	}})
+	generous := run(plan.Budget{Wall: time.Hour})
 	exact := func(name string, got, want float64) {
 		if got != want {
 			t.Errorf("%s = %.17g, want %.17g (unbudgeted)", name, got, want)

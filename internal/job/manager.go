@@ -93,10 +93,6 @@ type Options struct {
 	// nil-is-disabled discipline as the obs package, so the silent path
 	// allocates nothing.
 	Logger *slog.Logger
-	// SampleInterval is the self-sampler period (heap, goroutines, queue
-	// depth, cache size onto a fixed ring served by Stats). 0 = 10s;
-	// negative disables sampling.
-	SampleInterval time.Duration
 	// Run is the planning implementation (nil = DefaultRun).
 	Run RunFunc
 
@@ -140,7 +136,6 @@ type Manager struct {
 	run      RunFunc
 	reg      *obs.Registry
 	log      *slog.Logger // nil = logging disabled
-	sampler  *sampler     // nil = self-sampling disabled
 
 	store      *Store // nil for an in-memory manager
 	mem        *memGovernor
@@ -303,13 +298,6 @@ func Open(opts Options) (*Manager, error) {
 		m.wg.Add(1)
 		go m.worker()
 	}
-	if opts.SampleInterval >= 0 {
-		interval := opts.SampleInterval
-		if interval == 0 {
-			interval = defaultSampleInterval
-		}
-		m.startSampler(interval)
-	}
 	return m, nil
 }
 
@@ -383,7 +371,7 @@ func (m *Manager) Ready() (bool, string) {
 }
 
 // Registry returns the manager's metrics registry (for the debug listener
-// and the stats endpoint).
+// and the HTTP middleware).
 func (m *Manager) Registry() *obs.Registry { return m.reg }
 
 // Workers returns the worker-pool size.
@@ -567,10 +555,6 @@ type Stats struct {
 	JournalErrors int64               `json:"journal_errors,omitempty"`
 	MemRejected   int64               `json:"mem_rejected,omitempty"`
 	Metrics       obs.MetricsSnapshot `json:"metrics"`
-	// Samples is the self-sampler's retained time series (oldest first):
-	// process vitals at a fixed cadence, so a stats poll shows the recent
-	// history — not just the instant — of heap, goroutines, queue, cache.
-	Samples []Sample `json:"samples,omitempty"`
 }
 
 // Stats snapshots the manager.
@@ -610,9 +594,17 @@ func (m *Manager) Stats() Stats {
 	if m.mem != nil {
 		s.MemRejected = m.mem.cRejected.Value()
 	}
-	s.Metrics = m.reg.Snapshot()
-	s.Samples = m.sampler.history()
+	s.Metrics = m.Metrics()
 	return s
+}
+
+// Metrics refreshes the process vitals (job.heap_bytes, job.goroutines)
+// and snapshots the registry, so every reader — Stats and the /metrics
+// scrape — sees current values even with the memory governor disabled.
+func (m *Manager) Metrics() obs.MetricsSnapshot {
+	m.gHeap.Set(float64(liveHeap()))
+	m.gGoroutines.Set(float64(runtime.NumGoroutine()))
+	return m.reg.Snapshot()
 }
 
 // Shutdown drains the manager: no further submissions are accepted, and
@@ -629,11 +621,8 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		close(m.queue)
 	}
 	m.mu.Unlock()
-	if !already {
-		m.sampler.close()
-		if m.log != nil {
-			m.log.Info("manager draining")
-		}
+	if !already && m.log != nil {
+		m.log.Info("manager draining")
 	}
 
 	drained := make(chan struct{})

@@ -7,18 +7,15 @@
 // and the optimal retiming labels are recovered from shortest-path potentials
 // of the final residual network (see Potentials).
 //
-// The solver has two driving modes:
-//
-//   - One-shot: Solve routes one supply vector and consumes the network
-//     (the historical interface).
-//   - Incremental: SetSupply/SetArcCost followed by Resolve, repeatedly.
-//     The residual network and node potentials persist across calls, so a
-//     re-solve after a cost or supply change repairs optimality from the
-//     previous flow (drain flow on cost-changed arcs, restore feasible
-//     potentials, then run successive shortest paths on the remaining
-//     imbalance) instead of starting cold. This is what makes the LAC
-//     reweighting loop cheap: the constraint network is built once and each
-//     round only routes the supply delta induced by the new weights.
+// The solver is driven incrementally: SetSupply/SetArcCost followed by
+// Resolve, repeatedly. The first Resolve solves cold. The residual network
+// and node potentials persist across calls, so a re-solve after a cost or
+// supply change repairs optimality from the previous flow (drain flow on
+// cost-changed arcs, restore feasible potentials, then run successive
+// shortest paths on the remaining imbalance) instead of starting cold.
+// This is what makes the LAC reweighting loop cheap: the constraint
+// network is built once and each round only routes the supply delta
+// induced by the new weights.
 //
 // Capacities, costs, and supplies are float64, but callers that need
 // guaranteed termination and integral optima should supply integral values
@@ -102,12 +99,11 @@ type SolveStats struct {
 
 // Graph is a min-cost flow network. The zero value is not usable; call New.
 type Graph struct {
-	n      int
-	arcs   []arc
-	head   [][]int // head[v] = indices into arcs
-	orig   []float64
-	solved bool // legacy one-shot Solve consumed the network
-	inc    bool // incremental mode engaged (a Resolve has run)
+	n    int
+	arcs []arc
+	head [][]int // head[v] = indices into arcs
+	orig []float64
+	inc  bool // incremental mode engaged (a Resolve has run)
 
 	// Incremental state: potentials and per-node imbalance (target supply
 	// minus currently routed net outflow) persist across Resolve calls.
@@ -179,7 +175,7 @@ func (g *Graph) AddArc(from, to int, capacity, cost float64) ArcID {
 	return id
 }
 
-// Flow returns the flow routed through arc a after Solve or Resolve.
+// Flow returns the flow routed through arc a after the last Resolve.
 func (g *Graph) Flow(a ArcID) float64 {
 	return g.arcs[int(a)^1].cap
 }
@@ -194,13 +190,12 @@ func (g *Graph) Cost(a ArcID) float64 {
 	return g.arcs[int(a)&^1].cost
 }
 
-// Stats returns the counters of the most recent Resolve (or of the Solve
-// call, which drives the same engine).
+// Stats returns the counters of the most recent Resolve.
 func (g *Graph) Stats() SolveStats { return g.stats }
 
 // SetContext installs a cancellation context consulted between routing
 // phases, so even a single pathological solve is interruptible: when the
-// context is done, the in-flight Solve/Resolve returns its error. A nil
+// context is done, the in-flight Resolve returns its error. A nil
 // context (the default) restores the uninterruptible behavior. After a
 // context-aborted solve the residual state is undefined, like after any
 // other solve error, and the network should be discarded.
@@ -239,12 +234,9 @@ func (g *Graph) SetArcCost(a ArcID, cost float64) {
 // SetSupply sets the target supply vector (supply[v] > 0 means v produces
 // flow, < 0 means v consumes; the vector must sum to ~0). Only the delta
 // against the previously set supplies becomes new routing work for the next
-// Resolve. It returns an error on a length mismatch, an unbalanced vector,
-// or a network already consumed by the one-shot Solve.
+// Resolve. It returns an error on a length mismatch or an unbalanced
+// vector.
 func (g *Graph) SetSupply(supply []float64) error {
-	if g.solved {
-		return errors.New("mcmf: SetSupply on a network consumed by Solve")
-	}
 	if len(supply) != g.n {
 		return fmt.Errorf("mcmf: supply length %d != node count %d", len(supply), g.n)
 	}
@@ -284,13 +276,6 @@ func (g *Graph) ensureIncState() {
 // error the residual state is undefined and the network should be
 // discarded.
 func (g *Graph) Resolve() (float64, error) {
-	if g.solved {
-		return 0, errors.New("mcmf: Resolve on a network consumed by Solve")
-	}
-	return g.resolve()
-}
-
-func (g *Graph) resolve() (float64, error) {
 	g.ensureIncState()
 	st := SolveStats{
 		Warm:          g.inc,
@@ -702,47 +687,11 @@ func (g *Graph) augmentStack(s, last int, st *SolveStats) {
 	}
 }
 
-// Solve routes the given supplies (supply[v] > 0 means v produces flow,
-// < 0 means v consumes) at minimum total cost. Supplies must sum to ~0.
-// It returns the total cost of the optimal flow.
-//
-// Solve is the one-shot interface: it may be called once and consumes the
-// network. Callers that re-solve under changing costs or supplies should
-// use SetSupply/SetArcCost with Resolve instead.
-func (g *Graph) Solve(supply []float64) (float64, error) {
-	if g.solved {
-		return 0, errors.New("mcmf: Solve may only be called once per network (capacities are consumed)")
-	}
-	if g.inc {
-		return 0, errors.New("mcmf: Solve on a network driven incrementally (use Resolve)")
-	}
-	if len(supply) != g.n {
-		return 0, fmt.Errorf("mcmf: supply length %d != node count %d", len(supply), g.n)
-	}
-	var total float64
-	for _, s := range supply {
-		total += s
-	}
-	if math.Abs(total) > 1e-6 {
-		return 0, fmt.Errorf("mcmf: supplies sum to %g, want 0", total)
-	}
-	g.solved = true // even a failed attempt consumes capacities
-	g.ensureIncState()
-	for v, s := range supply {
-		if d := s - g.supply[v]; d > Eps || d < -Eps {
-			g.excess[v] += d
-			g.supply[v] = s
-			g.pendSup++
-		}
-	}
-	return g.resolve()
-}
-
 // augmentCheck, when non-nil, runs after every augmentation with the
 // current potentials. It is a test hook (see mcmf_test.go) used to verify
 // the successive-shortest-path invariant — nonnegative residual reduced
 // costs — at every intermediate state, not just at optimality; it covers
-// both the cold (Solve) and warm (Resolve) paths, which share the routing
+// both the cold first Resolve and the warm ones, which share the routing
 // loop.
 var augmentCheck func(g *Graph, pot []float64)
 

@@ -6,12 +6,21 @@ import (
 	"testing"
 )
 
+// solve routes one supply vector on a network: SetSupply, then Resolve
+// (cold on a fresh network).
+func solve(g *Graph, supply []float64) (float64, error) {
+	if err := g.SetSupply(supply); err != nil {
+		return 0, err
+	}
+	return g.Resolve()
+}
+
 func TestSimplePath(t *testing.T) {
 	// 0 -> 1 -> 2, unit costs; ship 5 units from 0 to 2.
 	g := New(3)
 	a := g.AddArc(0, 1, 10, 1)
 	b := g.AddArc(1, 2, 10, 1)
-	cost, err := g.Solve([]float64{5, 0, -5})
+	cost, err := solve(g, []float64{5, 0, -5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +38,7 @@ func TestChoosesCheaperPath(t *testing.T) {
 	direct := g.AddArc(0, 2, 10, 5)
 	via1 := g.AddArc(0, 1, 3, 2)
 	via2 := g.AddArc(1, 2, 3, 2)
-	cost, err := g.Solve([]float64{5, 0, -5})
+	cost, err := solve(g, []float64{5, 0, -5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +56,7 @@ func TestNegativeCostArc(t *testing.T) {
 	g := New(3)
 	g.AddArc(0, 1, 10, -4)
 	g.AddArc(1, 2, 10, 1)
-	cost, err := g.Solve([]float64{2, 0, -2})
+	cost, err := solve(g, []float64{2, 0, -2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +69,7 @@ func TestNegativeCycleDetected(t *testing.T) {
 	g := New(2)
 	g.AddArc(0, 1, Inf, -1)
 	g.AddArc(1, 0, Inf, -1)
-	if _, err := g.Solve([]float64{0, 0}); err != ErrNegativeCycle {
+	if _, err := solve(g, []float64{0, 0}); err != ErrNegativeCycle {
 		t.Fatalf("err=%v, want ErrNegativeCycle", err)
 	}
 }
@@ -68,7 +77,7 @@ func TestNegativeCycleDetected(t *testing.T) {
 func TestInfeasibleSupplies(t *testing.T) {
 	// No path from 0 to 1.
 	g := New(2)
-	if _, err := g.Solve([]float64{1, -1}); err != ErrInfeasible {
+	if _, err := solve(g, []float64{1, -1}); err != ErrInfeasible {
 		t.Fatalf("err=%v, want ErrInfeasible", err)
 	}
 }
@@ -76,7 +85,7 @@ func TestInfeasibleSupplies(t *testing.T) {
 func TestUnbalancedSuppliesRejected(t *testing.T) {
 	g := New(2)
 	g.AddArc(0, 1, 10, 1)
-	if _, err := g.Solve([]float64{2, -1}); err == nil {
+	if _, err := solve(g, []float64{2, -1}); err == nil {
 		t.Fatal("expected error for unbalanced supplies")
 	}
 }
@@ -84,7 +93,7 @@ func TestUnbalancedSuppliesRejected(t *testing.T) {
 func TestZeroSupplyNoFlow(t *testing.T) {
 	g := New(2)
 	a := g.AddArc(0, 1, 10, 1)
-	cost, err := g.Solve([]float64{0, 0})
+	cost, err := solve(g, []float64{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +105,7 @@ func TestZeroSupplyNoFlow(t *testing.T) {
 func TestInfiniteCapacity(t *testing.T) {
 	g := New(2)
 	a := g.AddArc(0, 1, Inf, 3)
-	cost, err := g.Solve([]float64{7, -7})
+	cost, err := solve(g, []float64{7, -7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +121,7 @@ func TestMultipleSourcesSinks(t *testing.T) {
 	g.AddArc(1, 2, Inf, 2)
 	g.AddArc(2, 3, Inf, 1)
 	g.AddArc(2, 4, Inf, 3)
-	cost, err := g.Solve([]float64{2, 3, 0, -4, -1})
+	cost, err := solve(g, []float64{2, 3, 0, -4, -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +145,7 @@ func TestPotentialsFeasibility(t *testing.T) {
 	for _, a := range arcs {
 		ids = append(ids, g.AddArc(a.from, a.to, a.cap, a.c))
 	}
-	if _, err := g.Solve([]float64{3, 0, 0, -3}); err != nil {
+	if _, err := solve(g, []float64{3, 0, 0, -3}); err != nil {
 		t.Fatal(err)
 	}
 	pot, err := g.Potentials()
@@ -187,7 +196,7 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 		supply := make([]float64, n)
 		supply[src] = float64(amount)
 		supply[dst] = -float64(amount)
-		got, err := g.Solve(supply)
+		got, err := solve(g, supply)
 
 		// Brute force over integral arc flows via recursion with
 		// conservation checking (small sizes only).
@@ -258,7 +267,7 @@ func TestAddNodeAfterConstruction(t *testing.T) {
 		t.Fatalf("AddNode -> %d, N=%d", v, g.N())
 	}
 	g.AddArc(0, v, 5, 1)
-	if _, err := g.Solve([]float64{3, -3}); err != nil {
+	if _, err := solve(g, []float64{3, -3}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -308,23 +317,12 @@ func TestResidualReducedCostsNonnegative(t *testing.T) {
 		supply := make([]float64, n)
 		amt := float64(1 + rng.Intn(5))
 		supply[0], supply[n-1] = amt, -amt
-		if _, err := g.Solve(supply); err != nil && err != ErrInfeasible {
+		if _, err := solve(g, supply); err != nil && err != ErrInfeasible {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if t.Failed() {
 			t.Fatalf("trial %d: residual reduced-cost invariant violated", trial)
 		}
-	}
-}
-
-func TestSolveTwiceRejected(t *testing.T) {
-	g := New(2)
-	g.AddArc(0, 1, 10, 1)
-	if _, err := g.Solve([]float64{3, -3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Solve([]float64{3, -3}); err == nil {
-		t.Fatal("second Solve accepted")
 	}
 }
 
@@ -507,41 +505,15 @@ func TestSetSupplyValidation(t *testing.T) {
 	}
 }
 
-func TestSolveResolveMixingRejected(t *testing.T) {
-	g := New(2)
-	g.AddArc(0, 1, 10, 1)
-	if _, err := g.Solve([]float64{1, -1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Resolve(); err == nil {
-		t.Fatal("Resolve after Solve accepted")
-	}
-	if err := g.SetSupply([]float64{1, -1}); err == nil {
-		t.Fatal("SetSupply after Solve accepted")
-	}
-
-	h := New(2)
-	h.AddArc(0, 1, 10, 1)
-	if err := h.SetSupply([]float64{1, -1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Resolve(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Solve([]float64{1, -1}); err == nil {
-		t.Fatal("Solve after Resolve accepted")
-	}
-}
-
 // coldCopy rebuilds the same network from scratch with the given costs and
-// solves it one-shot, as the pre-incremental engine would.
+// solves it cold, as the pre-incremental engine would.
 func coldCopy(t *testing.T, n int, specs [][4]float64, costs, supply []float64) (float64, []float64) {
 	t.Helper()
 	g := New(n)
 	for i, s := range specs {
 		g.AddArc(int(s[0]), int(s[1]), s[2], costs[i])
 	}
-	cost, err := g.Solve(supply)
+	cost, err := solve(g, supply)
 	if err != nil {
 		t.Fatalf("cold solve: %v", err)
 	}

@@ -1,40 +1,17 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
-	"sync/atomic"
 )
-
-// activeRegistry backs the process-wide "lacret" expvar: expvar.Publish is
-// forever (republishing a name panics), so the var is registered once and
-// reads through this pointer, which each debug server re-points at its
-// registry.
-var (
-	activeRegistry atomic.Pointer[Registry]
-	publishOnce    sync.Once
-)
-
-func publishRegistry(reg *Registry) {
-	activeRegistry.Store(reg)
-	publishOnce.Do(func() {
-		expvar.Publish("lacret", expvar.Func(func() any {
-			return activeRegistry.Load().Snapshot()
-		}))
-	})
-}
 
 // DebugServer is the live-introspection HTTP listener: net/http/pprof
-// under /debug/pprof/ (heap, goroutine, CPU profiles of a run in flight),
-// expvar under /debug/vars, where the "lacret" var is the given
-// registry's live snapshot — current stage, pass, search bracket, best
-// overflow, and every counter, updating while the planner runs — and the
-// same registry in Prometheus text format under /metrics, so a scraper
-// can watch a long run without speaking the expvar JSON dialect.
+// under /debug/pprof/ (heap, goroutine, CPU profiles of a run in flight)
+// and the given registry in Prometheus text format under /metrics — the
+// current stage, pass, search bracket, best overflow, and every counter,
+// updating while the planner runs.
 type DebugServer struct {
 	lis  net.Listener
 	srv  *http.Server
@@ -45,17 +22,15 @@ type DebugServer struct {
 // port) and serves in a background goroutine until Close. The registry may
 // be shared with a running recorder; snapshots are taken per request.
 func StartDebugServer(addr string, reg *Registry) (*DebugServer, error) {
-	publishRegistry(reg)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/metrics", PromHandler(reg))
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, "lacret debug listener\n\n/debug/vars\n/debug/pprof/\n/metrics\n")
+		fmt.Fprintf(w, "lacret debug listener\n\n/debug/pprof/\n/metrics\n")
 	})
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {

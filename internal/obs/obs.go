@@ -15,7 +15,7 @@
 //
 // One event stream, three sinks: a versioned JSON run report (report.go),
 // Chrome trace-event export for chrome://tracing / Perfetto
-// (chrometrace.go), and a live pprof/expvar HTTP listener (debug.go).
+// (chrometrace.go), and a live pprof/metrics HTTP listener (debug.go).
 package obs
 
 import (
@@ -73,7 +73,7 @@ func (g *Gauge) Value() float64 {
 }
 
 // Status is a string-valued gauge (e.g. the pipeline stage currently
-// running), for the live expvar view. The nil status discards updates.
+// running), for the live /metrics view. The nil status discards updates.
 type Status struct {
 	v atomic.Value // string
 }
@@ -192,7 +192,7 @@ type HistogramSnapshot struct {
 }
 
 // MetricsSnapshot is a point-in-time copy of a registry, with sorted keys,
-// for the run report and the expvar view.
+// for the run report and the /metrics exposition.
 type MetricsSnapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`

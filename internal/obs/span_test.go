@@ -127,23 +127,13 @@ func TestDebugServer(t *testing.T) {
 		}
 		return string(body)
 	}
-	vars := get("/debug/vars")
-	if !strings.Contains(vars, "retime.probes") || !strings.Contains(vars, `"lac"`) {
-		t.Fatalf("expvar missing registry values:\n%s", vars)
+	metrics := get("/metrics")
+	for _, want := range []string{"retime_probes 7", `plan_stage{value="lac"} 1`} {
+		if !strings.Contains(metrics, want) {
+			t.Fatalf("/metrics missing %q:\n%s", want, metrics)
+		}
 	}
 	if idx := get("/debug/pprof/"); !strings.Contains(idx, "goroutine") {
 		t.Fatalf("pprof index unexpected:\n%s", idx)
-	}
-
-	// A second server re-points the shared expvar at its registry.
-	reg2 := NewRegistry()
-	reg2.Counter("route.rounds").Add(1)
-	ds2, err := StartDebugServer("127.0.0.1:0", reg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds2.Close()
-	if v := get("/debug/vars"); !strings.Contains(v, "route.rounds") {
-		t.Fatalf("expvar not re-pointed:\n%s", v)
 	}
 }

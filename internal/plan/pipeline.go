@@ -278,11 +278,10 @@ func (st *PlanState) Run(stages []Stage, cfg *Config) error {
 // Two time limits with different semantics flow through here:
 //
 //   - cfg.Budget (soft): the per-pass wall-clock budget. Anytime stages
-//     (periods, route, lac) get a derived context whose deadline is their
-//     weighted share of the remaining budget; at that deadline they commit
-//     their best-so-far result, the stage's event is flagged Truncated,
-//     and the pipeline continues — a budgeted pass still completes end to
-//     end.
+//     (periods, route, lac) run under the pass's budget deadline; when it
+//     fires they commit their best-so-far result, the stage's event is
+//     flagged Truncated, and the pipeline continues — a budgeted pass
+//     still completes end to end.
 //   - ctx (hard): the caller's cancellation or deadline. It is checked at
 //     every stage boundary; once done, no further stage starts and
 //     RunContext returns the context's error. Stages already running see
@@ -294,7 +293,11 @@ func (st *PlanState) Run(stages []Stage, cfg *Config) error {
 // *StageError (stage name + stack); the panicking stage's artifacts are
 // not committed, so the prefix stays clean.
 func (st *PlanState) RunContext(ctx context.Context, stages []Stage, cfg *Config) error {
-	bud := newBudgetState(cfg.Budget)
+	// The anytime stages' deadline: one per pass, zero when unbudgeted.
+	var deadline time.Time
+	if cfg.Budget.Wall > 0 {
+		deadline = time.Now().Add(cfg.Budget.Wall)
+	}
 	// Observability: one "pass" span per RunContext with one child span per
 	// executed stage; the stage's sub-stage spans (probes, rounds, solves)
 	// land on StageEvent.Sub for the report sink, and the live status names
@@ -311,7 +314,7 @@ func (st *PlanState) RunContext(ctx context.Context, stages []Stage, cfg *Config
 				return fmt.Errorf("plan: stage %s not run: %w", s.Name(), err)
 			}
 			gStage.Set(s.Name())
-			sctx, cancel := bud.stageContext(pctx, s.Name())
+			sctx, cancel := stageContext(pctx, deadline, s.Name())
 			ssctx, ssp := obs.StartSpan(sctx, s.Name())
 			t0 := time.Now()
 			err := runStage(ssctx, s, st, cfg)
@@ -385,48 +388,18 @@ var anytimeStages = map[string]bool{
 	stageLAC:     true,
 }
 
-// budgetState allocates the per-pass wall-clock budget across the anytime
-// stages as they come up: each receives its weight's share of the time
-// remaining, relative to the weighted anytime stages not yet run.
-type budgetState struct {
-	deadline time.Time // zero = unbudgeted
-	weights  map[string]float64
-	done     map[string]bool
-}
-
-func newBudgetState(b Budget) *budgetState {
-	bs := &budgetState{weights: b.Weights, done: map[string]bool{}}
-	if b.Wall > 0 {
-		bs.deadline = time.Now().Add(b.Wall)
-	}
-	return bs
-}
-
-// stageContext derives the context a stage runs under. Non-anytime stages
-// and unbudgeted runs get the parent unchanged (and a no-op cancel).
-func (bs *budgetState) stageContext(ctx context.Context, stage string) (context.Context, context.CancelFunc) {
-	if bs.deadline.IsZero() || !anytimeStages[stage] {
+// stageContext derives the context a stage runs under: anytime stages run
+// until the pass's budget deadline, then commit their best-so-far result.
+// Non-anytime stages and unbudgeted runs (zero deadline) get the parent
+// unchanged (and a no-op cancel).
+func stageContext(ctx context.Context, deadline time.Time, stage string) (context.Context, context.CancelFunc) {
+	if deadline.IsZero() || !anytimeStages[stage] {
 		return ctx, func() {}
 	}
-	d := bs.deadline
-	if w := bs.weights[stage]; w > 0 {
-		sum := 0.0
-		for name, wt := range bs.weights {
-			if anytimeStages[name] && !bs.done[name] && wt > 0 {
-				sum += wt
-			}
-		}
-		if rem := time.Until(bs.deadline); rem > 0 && sum > 0 {
-			if sd := time.Now().Add(time.Duration(float64(rem) * w / sum)); sd.Before(d) {
-				d = sd
-			}
-		}
-	}
-	bs.done[stage] = true
-	return context.WithDeadline(ctx, d)
+	return context.WithDeadline(ctx, deadline)
 }
 
-// Canonical stage names (trace events, budget weights, skip bookkeeping).
+// Canonical stage names (trace events, anytime budgeting, skip bookkeeping).
 const (
 	stagePartition   = "partition"
 	stageFloorplan   = "floorplan"

@@ -107,12 +107,6 @@ type Config struct {
 type Budget struct {
 	// Wall is the overall wall-clock budget for the pass (0 = unbounded).
 	Wall time.Duration
-	// Weights optionally splits the budget across the anytime stages by
-	// stage name ("periods", "route", "lac"): each weighted stage gets its
-	// proportional share of the time remaining when it starts, measured
-	// against the weighted anytime stages still to run. Unweighted (or
-	// absent) stages simply run until the overall deadline.
-	Weights map[string]float64
 }
 
 // ErrTclkInfeasible is returned when the (overridden) target period cannot

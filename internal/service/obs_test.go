@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -29,8 +30,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	ts := httptest.NewServer(service.New(mgr))
 	defer ts.Close()
 
-	_, jr := postJob(t, ts, `{"source":{"circuit":"s386"},"config":{"seed":1}}`)
-	pollDone(t, ts, jr.ID)
+	_, jr := postJob(t, ts.URL, `{"source":{"circuit":"s386"},"config":{"seed":1}}`)
+	pollDone(t, ts.URL, jr.ID)
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -62,6 +63,13 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+	// The scrape refreshes the process vitals itself: with no memory limit
+	// the governor, the only other writer, is off.
+	for _, name := range []string{"job_heap_bytes", "job_goroutines"} {
+		if v := promValue(t, text, name); v <= 0 {
+			t.Errorf("%s = %g, want > 0", name, v)
+		}
+	}
 	// The scrape itself runs through the middleware: a second scrape must
 	// see the first one's counter.
 	resp2, err := http.Get(ts.URL + "/metrics")
@@ -73,6 +81,23 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !strings.Contains(string(body2), "http_requests_metrics_2xx 1") {
 		t.Error("second scrape does not count the first")
 	}
+}
+
+// promValue returns the value of the unlabeled series name in a
+// Prometheus exposition.
+func promValue(t *testing.T, text, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("series %s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("exposition has no series %s", name)
+	return 0
 }
 
 // TestHealthProbes: healthz is always 200; readyz flips to 503 once the
@@ -120,8 +145,8 @@ func TestTraceEndpoint(t *testing.T) {
 	ts := httptest.NewServer(service.New(mgr))
 	defer ts.Close()
 
-	_, jr := postJob(t, ts, `{"source":{"circuit":"s386"},"config":{"seed":1}}`)
-	pollDone(t, ts, jr.ID)
+	_, jr := postJob(t, ts.URL, `{"source":{"circuit":"s386"},"config":{"seed":1}}`)
+	pollDone(t, ts.URL, jr.ID)
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + jr.ID + "/trace")
 	if err != nil {
@@ -208,7 +233,7 @@ func TestTraceBeforeTerminal(t *testing.T) {
 	ts := httptest.NewServer(service.New(mgr))
 	defer ts.Close()
 
-	_, jr := postJob(t, ts, `{"source":{"circuit":"s386"},"config":{"seed":1}}`)
+	_, jr := postJob(t, ts.URL, `{"source":{"circuit":"s386"},"config":{"seed":1}}`)
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + jr.ID + "/trace")
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +261,7 @@ func TestSSEKeepalive(t *testing.T) {
 	ts := httptest.NewServer(service.New(mgr, service.WithSSEKeepalive(20*time.Millisecond)))
 	defer ts.Close()
 
-	_, jr := postJob(t, ts, `{"source":{"circuit":"s386"},"config":{"seed":1}}`)
+	_, jr := postJob(t, ts.URL, `{"source":{"circuit":"s386"},"config":{"seed":1}}`)
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + jr.ID + "/events")
 	if err != nil {
@@ -279,8 +304,8 @@ func TestRequestLogging(t *testing.T) {
 	ts := httptest.NewServer(service.New(mgr, service.WithLogger(logger)))
 	defer ts.Close()
 
-	_, jr := postJob(t, ts, `{"source":{"circuit":"s386"},"config":{"seed":1}}`)
-	pollDone(t, ts, jr.ID)
+	_, jr := postJob(t, ts.URL, `{"source":{"circuit":"s386"},"config":{"seed":1}}`)
+	pollDone(t, ts.URL, jr.ID)
 	// Stop both log writers before reading the buffer: the middleware
 	// writes a request's line after the client has its response, and the
 	// worker writes the job's last line after the job turns done.

@@ -9,7 +9,7 @@
 //	GET    /v1/jobs/{id}/events  live progress (Server-Sent Events)
 //	GET    /v1/jobs/{id}/trace   span forest: JSON, or ?format=chrome
 //	DELETE /v1/jobs/{id}     cancel
-//	GET    /v1/stats         pool, cache, metrics, and vitals time series
+//	GET    /v1/stats         pool, cache, and metrics snapshot
 //
 // plus the operational surface outside the version prefix:
 //
@@ -444,11 +444,12 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 }
 
 // metrics serves the manager's registry — job counters, queue-wait and
-// run-duration histograms, memory gauges, and the HTTP plane's own
-// latency/status metrics — in Prometheus text exposition format.
+// run-duration histograms, heap and goroutine gauges refreshed per scrape,
+// and the HTTP plane's own latency/status metrics — in Prometheus text
+// exposition format.
 func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.PromContentType)
-	_ = obs.WritePrometheus(w, s.reg)
+	_ = obs.WritePrometheusSnapshot(w, s.mgr.Metrics())
 }
 
 // healthz is the liveness probe: if this handler runs, the process is

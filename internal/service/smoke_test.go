@@ -1,10 +1,8 @@
 package service_test
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -17,7 +15,6 @@ import (
 
 	"lacret/internal/job"
 	"lacret/internal/obs"
-	"lacret/internal/service"
 )
 
 // TestDaemonChaosSmoke is the crash-recovery smoke (LACRET_SMOKE=1): a
@@ -38,21 +35,16 @@ func TestDaemonChaosSmoke(t *testing.T) {
 	}
 	dataDir := t.TempDir()
 	addr := freeAddr(t)
-	// The client logs its retries: daemon restarts show up on the test's
-	// stderr as "retrying request" lines instead of silent pauses.
-	clientLog := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	c := &service.Client{Base: "http://" + addr, Backoff: 50 * time.Millisecond, Logger: clientLog}
-	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
-	defer cancel()
-	req := job.PlanRequest{Source: job.Source{Circuit: "s400"}}
+	base := "http://" + addr
+	req := `{"source":{"circuit":"s400"}}`
 
 	// Incarnation one: dies right after the third checkpoint save — the
 	// "grid" stage boundary, mid-plan.
 	d1 := startDaemon(t, bin, "-addr", addr, "-workers", "1",
 		"-data-dir", dataDir, "-crash-after-checkpoint", "3")
-	jr, err := c.Submit(ctx, req)
-	if err != nil {
-		t.Fatalf("submit to first incarnation: %v", err)
+	resp, jr := postJob(t, base, req)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit to first incarnation: status %d", resp.StatusCode)
 	}
 	if jr.State.Terminal() {
 		t.Fatalf("job %s terminal (%s) before the crash", jr.ID, jr.State)
@@ -69,61 +61,50 @@ func TestDaemonChaosSmoke(t *testing.T) {
 
 	// Incarnation two: same data directory, same address, no crash.
 	d2 := startDaemon(t, bin, "-addr", addr, "-workers", "1", "-data-dir", dataDir)
-	fin, err := c.Wait(ctx, jr.ID)
-	if err != nil {
-		t.Fatalf("wait for recovered job %s: %v", jr.ID, err)
-	}
+	fin := pollDone(t, base, jr.ID)
 	if fin.State != job.StateDone {
 		t.Fatalf("recovered job ended %s: %s", fin.State, fin.Err)
 	}
 	if fin.Summary == nil || fin.Summary.Resumed != "grid" {
 		t.Fatalf("summary %+v, want resumed from the grid checkpoint", fin.Summary)
 	}
-	rep, err := c.Report(ctx, jr.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := obs.DecodeReport(rep); err != nil {
+	rep := httpBody(t, base+"/v1/jobs/"+jr.ID+"/report")
+	if _, err := obs.DecodeReport([]byte(rep)); err != nil {
 		t.Fatalf("recovered report fails the consumer decoder: %v", err)
 	}
-	st, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var st job.Stats
+	getJSON(t, base+"/v1/stats", &st)
 	if st.Recovered < 1 || st.Resumed < 1 {
 		t.Fatalf("stats recovered=%d resumed=%d, want both >= 1", st.Recovered, st.Resumed)
 	}
 	// The settled outcome is durable: a resubmission is a cache hit.
-	if hit, err := c.Submit(ctx, req); err != nil || !hit.CacheHit {
-		t.Fatalf("resubmission after recovery: hit=%v err=%v", hit != nil && hit.CacheHit, err)
+	if resp, hit := postJob(t, base, req); !hit.CacheHit {
+		t.Fatalf("resubmission after recovery: status %d, not a cache hit", resp.StatusCode)
 	}
 
 	// The restarted daemon's /metrics carries the job counters and the
 	// HTTP plane's latency histograms in Prometheus exposition format.
-	text := httpBody(t, "http://"+addr+"/metrics")
+	text := httpBody(t, base+"/metrics")
 	for _, want := range []string{"job_submitted", "http_latency_ms_submit_bucket", "job_run_ms_count"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics after restart missing %q", want)
 		}
 	}
-	if body := httpBody(t, "http://"+addr+"/readyz"); !strings.Contains(body, "ready") {
+	if body := httpBody(t, base+"/readyz"); !strings.Contains(body, "ready") {
 		t.Fatalf("readyz before drain: %q", body)
 	}
 
 	// Clean drain: an uncached job keeps the pool busy, SIGTERM starts the
 	// drain, and readyz must answer 503 while HTTP stays up for the
 	// in-flight job — then the process exits 0.
-	busy, err := c.Submit(ctx, job.PlanRequest{Source: job.Source{Circuit: "s400"}, Config: job.ReqConfig{Seed: 7}})
-	if err != nil {
-		t.Fatalf("submit drain filler: %v", err)
-	}
-	if busy.CacheHit {
-		t.Fatal("drain filler unexpectedly cached")
+	resp, busy := postJob(t, base, `{"source":{"circuit":"s400"},"config":{"seed":7}}`)
+	if resp.StatusCode != http.StatusAccepted || busy.CacheHit {
+		t.Fatalf("drain filler: status %d cache hit %v, want an uncached 202", resp.StatusCode, busy.CacheHit)
 	}
 	d2.cmd.Process.Signal(syscall.SIGTERM)
 	saw503 := false
 	for !saw503 {
-		resp, err := http.Get("http://" + addr + "/readyz")
+		resp, err := http.Get(base + "/readyz")
 		if err != nil {
 			break // listener gone: the drain finished before we sampled it
 		}
@@ -143,20 +124,16 @@ func TestDaemonChaosSmoke(t *testing.T) {
 	}
 
 	// Restart three: the cache must survive a clean shutdown too.
-	d3 := startDaemon(t, bin, "-addr", addr, "-workers", "1", "-data-dir", dataDir)
-	if hit, err := c.Submit(ctx, req); err != nil || !hit.CacheHit {
-		t.Fatalf("resubmission after restart: hit=%v err=%v", hit != nil && hit.CacheHit, err)
+	startDaemon(t, bin, "-addr", addr, "-workers", "1", "-data-dir", dataDir)
+	if resp, hit := postJob(t, base, req); !hit.CacheHit {
+		t.Fatalf("resubmission after restart: status %d, not a cache hit", resp.StatusCode)
 	}
-	_ = d3 // killed by the process-group cleanup
 
 	// A memory-capped daemon sheds load instead of dying.
 	addr2 := freeAddr(t)
 	startDaemon(t, bin, "-addr", addr2, "-workers", "1", "-max-mem", "1")
-	c2 := &service.Client{Base: "http://" + addr2, Backoff: 50 * time.Millisecond, MaxRetries: -1}
-	_, err = c2.Submit(ctx, req)
-	apiErr, ok := err.(*service.APIError)
-	if !ok || apiErr.Status != 429 {
-		t.Fatalf("submit under -max-mem 1 = %v, want 429", err)
+	if resp, _ := postJob(t, "http://"+addr2, req); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("submit under -max-mem 1: status %d, want 429", resp.StatusCode)
 	}
 }
 
@@ -192,13 +169,11 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 			addr = args[i+1]
 		}
 	}
-	c := &service.Client{Base: "http://" + addr, MaxRetries: -1}
+	probe := &http.Client{Timeout: time.Second}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		_, err := c.Stats(ctx)
-		cancel()
-		if err == nil {
+		if resp, err := probe.Get("http://" + addr + "/v1/stats"); err == nil {
+			resp.Body.Close()
 			return d
 		}
 		select {
