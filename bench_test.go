@@ -22,6 +22,7 @@ import (
 	"lacret/internal/core"
 	"lacret/internal/experiments"
 	"lacret/internal/plan"
+	"lacret/internal/retime"
 	"lacret/internal/tile"
 )
 
@@ -82,29 +83,6 @@ func BenchmarkTable1LACS386(b *testing.B) { benchLAC(b, "s386") }
 func BenchmarkTable1LACS400(b *testing.B) { benchLAC(b, "s400") }
 func BenchmarkTable1LACS526(b *testing.B) { benchLAC(b, "s526") }
 func BenchmarkTable1LACS953(b *testing.B) { benchLAC(b, "s953") }
-
-// Warm vs cold incremental LAC engine: the same LAC loop with rounds ≥ 2
-// warm-starting from the previous round's solver state (default) versus
-// every round re-building the constraint network, re-checking feasibility
-// and solving from zero flow (Options.ColdSolves, the pre-incremental
-// behavior). The per-round gap is larger than the whole-solve gap shown
-// here, since round 1 is cold either way; EXPERIMENTS.md records the
-// rounds ≥ 2 comparison.
-func benchLACEngine(b *testing.B, name string, cold bool) {
-	r := plannedCircuit(b, name)
-	opt := core.Options{Alpha: 0.2, Nmax: 5, MaxIters: 20, ColdSolves: cold}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Problem.Solve(opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLACEngineWarmS526(b *testing.B) { benchLACEngine(b, "s526", false) }
-func BenchmarkLACEngineColdS526(b *testing.B) { benchLACEngine(b, "s526", true) }
-func BenchmarkLACEngineWarmS953(b *testing.B) { benchLACEngine(b, "s953", false) }
-func BenchmarkLACEngineColdS953(b *testing.B) { benchLACEngine(b, "s953", true) }
 
 // Figure 1: one complete interconnect-planning pass.
 func BenchmarkFigure1Flow(b *testing.B) {
@@ -195,13 +173,17 @@ func BenchmarkSharingModel(b *testing.B) {
 }
 
 // BenchmarkConstraintGeneration times generation at Tclk the way the
-// constraints stage runs it: from the source the period search already
-// swept, so its rows come from the cache.
+// constraints stage runs it: from a source (floored like the planner's)
+// that has already swept the rows at Tclk, so its rows come from the cache.
 func BenchmarkConstraintGeneration(b *testing.B) {
 	r := plannedCircuit(b, "s953")
+	src := retime.NewLazySource(r.Graph, r.Graph.MaxDelay(), 0)
+	if _, err := r.Graph.BuildConstraints(r.Tclk, src); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Graph.BuildConstraints(r.Tclk, r.Problem.Source); err != nil {
+		if _, err := r.Graph.BuildConstraints(r.Tclk, src); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,13 +20,9 @@ func (p *Problem) SolveExact() (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	cs := p.Constraints
-	if cs == nil {
-		var err error
-		cs, err = p.buildConstraints()
-		if err != nil {
-			return nil, err
-		}
+	cs, err := p.constraints()
+	if err != nil {
+		return nil, err
 	}
 	n := p.Graph.N()
 

@@ -46,20 +46,17 @@ type Problem struct {
 	FFArea float64
 	// Constraints optionally supplies a prebuilt constraint system for
 	// Graph at Tclk (the planner's, generated once per §4.2); when nil,
-	// Solve builds it.
+	// it is built through a one-shot constraint source.
 	Constraints *retime.Constraints
-	// Source optionally supplies the constraint source the planner's
-	// period search ran on. When Constraints is nil, constraint systems
-	// are regenerated through it, reusing its cached rows, instead of
-	// through a fresh one-shot source; pair sets are identical either way.
-	Source retime.ConstraintSource
 }
 
-// buildConstraints regenerates the constraint system at Tclk through the
-// planner's constraint source when one is attached (a nil Source builds a
-// one-shot one).
-func (p *Problem) buildConstraints() (*retime.Constraints, error) {
-	return p.Graph.BuildConstraints(p.Tclk, p.Source)
+// constraints returns the prebuilt constraint system, or builds one at Tclk
+// through a one-shot source when none is attached.
+func (p *Problem) constraints() (*retime.Constraints, error) {
+	if p.Constraints != nil {
+		return p.Constraints, nil
+	}
+	return p.Graph.BuildConstraints(p.Tclk, nil)
 }
 
 // Options tunes the LAC loop.
@@ -77,11 +74,6 @@ type Options struct {
 	// MaxIters hard-caps the number of weighted min-area solves
 	// (default 30).
 	MaxIters int
-	// ColdSolves disables the warm-started incremental flow engine: every
-	// round rebuilds the constraint network and solves from zero flow
-	// (the pre-incremental behavior; kept for benchmarking and as a
-	// safety valve).
-	ColdSolves bool
 	// VerifyWarm cross-checks every round of the incremental engine
 	// against a from-scratch solve and errors on any divergence in
 	// labeling, register count, or weighted area — the warm/cold
@@ -109,11 +101,9 @@ type IterStat struct {
 	// Phases counts the flow engine's multi-source Dijkstra searches this
 	// round (each settles all deficits and batch-augments the forest).
 	Phases int
-	// CostChanged and SupplyChanged count the flow arcs and node supplies
-	// that differed from the previous round when the solve started. In
-	// the LAC loop the constraint arcs' costs are fixed bounds, so
-	// CostChanged stays 0 and reweighting shows up purely in supplies.
-	CostChanged   int
+	// SupplyChanged counts the node supplies that differed from the
+	// previous round when the solve started. The constraint arcs' costs
+	// are fixed bounds, so reweighting shows up purely in supplies.
 	SupplyChanged int
 }
 
@@ -194,13 +184,9 @@ func (p *Problem) MinAreaBaseline() (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	cs := p.Constraints
-	if cs == nil {
-		var err error
-		cs, err = p.buildConstraints()
-		if err != nil {
-			return nil, err
-		}
+	cs, err := p.constraints()
+	if err != nil {
+		return nil, err
 	}
 	t0 := time.Now()
 	ma, err := p.Graph.MinAreaWithConstraints(cs, nil)
@@ -217,14 +203,14 @@ func (p *Problem) MinAreaBaseline() (*Result, error) {
 	res.NFOA, res.Violated = p.Violations(res.TileFF)
 	res.Iters = []IterStat{{NFOA: res.NFOA, Registers: res.NF, Duration: time.Since(t0),
 		Warm: ma.Stats.Warm, AugPaths: ma.Stats.AugmentingPaths, Phases: ma.Stats.Phases,
-		CostChanged: ma.Stats.CostChanged, SupplyChanged: ma.Stats.SupplyChanged}}
+		SupplyChanged: ma.Stats.SupplyChanged}}
 	return res, nil
 }
 
 // Solve runs the LAC-retiming heuristic. The weighted min-area rounds run
 // on one persistent retime.MinAreaSolver: the constraint network is built
 // once and each reweighting round warm-starts the min-cost flow from the
-// previous round's residual state (see Options.ColdSolves to opt out).
+// previous round's residual state.
 func (p *Problem) Solve(opt Options) (*Result, error) {
 	return p.SolveContext(context.Background(), opt)
 }
@@ -252,28 +238,19 @@ func (p *Problem) SolveContext(ctx context.Context, opt Options) (*Result, error
 	if opt.MaxIters <= 0 {
 		opt.MaxIters = 30
 	}
-	cs := p.Constraints
-	if cs == nil {
-		var err error
-		cs, err = p.buildConstraints()
-		if err != nil {
-			return nil, err
-		}
+	cs, err := p.constraints()
+	if err != nil {
+		return nil, err
 	}
-
-	var solver *retime.MinAreaSolver
-	if !opt.ColdSolves {
-		var err error
-		solver, err = retime.NewMinAreaSolver(p.Graph, cs)
-		if err != nil {
-			return nil, err
-		}
-		// The flow engine needs the context when it must either honor a
-		// deadline between phases or hang its per-solve spans off the
-		// caller's recorder.
-		if ctx.Done() != nil || obs.FromContext(ctx) != nil {
-			solver.SetContext(ctx)
-		}
+	solver, err := retime.NewMinAreaSolver(p.Graph, cs)
+	if err != nil {
+		return nil, err
+	}
+	// The flow engine needs the context when it must either honor a
+	// deadline between phases or hang its per-solve spans off the caller's
+	// recorder.
+	if ctx.Done() != nil || obs.FromContext(ctx) != nil {
+		solver.SetContext(ctx)
 	}
 
 	nTiles := len(p.Cap)
@@ -306,20 +283,14 @@ func (p *Problem) SolveContext(ctx context.Context, opt Options) (*Result, error
 		cRounds.Inc()
 		// Re-point the flow engine at the round's context so its per-solve
 		// spans nest under this round rather than under the stage.
-		if rsp != nil && solver != nil {
+		if rsp != nil {
 			solver.SetContext(rctx)
 		}
 		roundStart := time.Now()
 		for v := 0; v < p.Graph.N(); v++ {
 			area[v] = weight[p.TileOf[v]]
 		}
-		var ma *retime.MinAreaResult
-		var err error
-		if solver != nil {
-			ma, err = solver.Resolve(area)
-		} else {
-			ma, err = p.Graph.MinAreaWithConstraints(cs, area)
-		}
+		ma, err := solver.Resolve(area)
 		if err != nil {
 			rsp.End()
 			// A solve aborted by the context mid-flow leaves the engine's
@@ -334,7 +305,7 @@ func (p *Problem) SolveContext(ctx context.Context, opt Options) (*Result, error
 			}
 			return nil, err
 		}
-		if opt.VerifyWarm && solver != nil {
+		if opt.VerifyWarm {
 			if err := p.verifyWarm(cs, area, ma); err != nil {
 				rsp.End()
 				return nil, err
@@ -360,7 +331,7 @@ func (p *Problem) SolveContext(ctx context.Context, opt Options) (*Result, error
 		stat := IterStat{NFOA: nfoa, Registers: ma.Registers, MaxRatio: maxRatio,
 			Duration: time.Since(roundStart),
 			Warm:     ma.Stats.Warm, AugPaths: ma.Stats.AugmentingPaths, Phases: ma.Stats.Phases,
-			CostChanged: ma.Stats.CostChanged, SupplyChanged: ma.Stats.SupplyChanged}
+			SupplyChanged: ma.Stats.SupplyChanged}
 		gNfoa.Set(float64(nfoa))
 		hRound.Observe(float64(stat.Duration.Microseconds()) / 1000)
 		rsp.SetAttr("nfoa", float64(nfoa))
@@ -373,7 +344,6 @@ func (p *Problem) SolveContext(ctx context.Context, opt Options) (*Result, error
 		rsp.SetAttr("warm", warmF)
 		rsp.SetAttr("augpaths", float64(ma.Stats.AugmentingPaths))
 		rsp.SetAttr("phases", float64(ma.Stats.Phases))
-		rsp.SetAttr("cost_changed", float64(ma.Stats.CostChanged))
 		rsp.SetAttr("supply_changed", float64(ma.Stats.SupplyChanged))
 
 		if best == nil || cur.NFOA < best.NFOA || (cur.NFOA == best.NFOA && cur.NF < best.NF) {

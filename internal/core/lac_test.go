@@ -353,10 +353,6 @@ func TestLACIterationAccounting(t *testing.T) {
 			if it.Warm != (i > 0) {
 				t.Fatalf("caps %v: round %d Warm=%v", caps, i+1, it.Warm)
 			}
-			if it.CostChanged != 0 {
-				t.Fatalf("caps %v: round %d changed %d arc costs; LAC rounds only move supplies",
-					caps, i+1, it.CostChanged)
-			}
 			if i > 0 && it.SupplyChanged == 0 && it.AugPaths > 0 {
 				t.Fatalf("caps %v: round %d ran %d augmenting paths with no supply change",
 					caps, i+1, it.AugPaths)
@@ -400,10 +396,11 @@ func TestMinAreaBaselineMatchesSolveRound1(t *testing.T) {
 	}
 }
 
-// TestSolveWarmEqualsCold runs the full LAC loop twice — once on the
-// incremental engine with the per-round warm/cold gate armed, once forced
-// cold — and requires the identical trajectory: same labeling, violation
-// count, register count, and round count.
+// TestSolveWarmEqualsCold runs the full LAC loop on the incremental engine
+// with the per-round warm/cold gate armed: every round's labeling, register
+// count and weighted area must equal a from-scratch solve under the same
+// weights. Equal rounds imply the identical trajectory (labeling, violation
+// count, register count, round count) a from-scratch loop would take.
 func TestSolveWarmEqualsCold(t *testing.T) {
 	problems := []*Problem{
 		tightLoose(),
@@ -412,27 +409,8 @@ func TestSolveWarmEqualsCold(t *testing.T) {
 		ringProblem([]float64{0, 3, 0}),
 	}
 	for pi, p := range problems {
-		warm, err := p.Solve(Options{Nmax: 6, MaxIters: 25, VerifyWarm: true})
-		if err != nil {
-			t.Fatalf("problem %d: warm: %v", pi, err)
-		}
-		cold, err := p.Solve(Options{Nmax: 6, MaxIters: 25, ColdSolves: true})
-		if err != nil {
-			t.Fatalf("problem %d: cold: %v", pi, err)
-		}
-		if warm.NFOA != cold.NFOA || warm.NF != cold.NF || warm.NWR != cold.NWR {
-			t.Fatalf("problem %d: warm NFOA/NF/NWR %d/%d/%d != cold %d/%d/%d",
-				pi, warm.NFOA, warm.NF, warm.NWR, cold.NFOA, cold.NF, cold.NWR)
-		}
-		for v := range warm.R {
-			if warm.R[v] != cold.R[v] {
-				t.Fatalf("problem %d: r(%d) = %d warm, %d cold", pi, v, warm.R[v], cold.R[v])
-			}
-		}
-		for _, it := range cold.Iters {
-			if it.Warm {
-				t.Fatalf("problem %d: ColdSolves round reported Warm", pi)
-			}
+		if _, err := p.Solve(Options{Nmax: 6, MaxIters: 25, VerifyWarm: true}); err != nil {
+			t.Fatalf("problem %d: %v", pi, err)
 		}
 	}
 }
@@ -440,7 +418,7 @@ func TestSolveWarmEqualsCold(t *testing.T) {
 // TestSolveWarmEqualsColdRandom is the randomized half of the warm/cold
 // equivalence gate: random small instances (the optimality-gap generator's
 // shape), every round cross-checked against a from-scratch solve by
-// VerifyWarm, and the final results compared against a forced-cold run.
+// VerifyWarm.
 func TestSolveWarmEqualsColdRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(271))
 	for iter := 0; iter < 40; iter++ {
@@ -462,25 +440,11 @@ func TestSolveWarmEqualsColdRandom(t *testing.T) {
 			Graph: rg, Tclk: float64(2 + rng.Intn(3)),
 			TileOf: tileOf, Cap: caps, FFArea: 1,
 		}
-		warm, err := p.Solve(Options{Nmax: 5, MaxIters: 20, VerifyWarm: true})
-		if err != nil {
+		if _, err := p.Solve(Options{Nmax: 5, MaxIters: 20, VerifyWarm: true}); err != nil {
 			if _, infeasible := errInfeasible(err); infeasible {
 				continue
 			}
 			t.Fatalf("iter %d: %v", iter, err)
-		}
-		cold, err := p.Solve(Options{Nmax: 5, MaxIters: 20, ColdSolves: true})
-		if err != nil {
-			t.Fatalf("iter %d: cold: %v", iter, err)
-		}
-		if warm.NFOA != cold.NFOA || warm.NF != cold.NF || warm.NWR != cold.NWR {
-			t.Fatalf("iter %d: warm NFOA/NF/NWR %d/%d/%d != cold %d/%d/%d",
-				iter, warm.NFOA, warm.NF, warm.NWR, cold.NFOA, cold.NF, cold.NWR)
-		}
-		for v := range warm.R {
-			if warm.R[v] != cold.R[v] {
-				t.Fatalf("iter %d: r(%d) = %d warm, %d cold", iter, v, warm.R[v], cold.R[v])
-			}
 		}
 	}
 }

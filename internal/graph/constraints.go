@@ -5,52 +5,6 @@ import (
 	"math"
 )
 
-// DiffConstraint encodes X[U] - X[V] <= Bound.
-//
-// A system of difference constraints is feasible iff the corresponding
-// constraint graph has no negative cycle; see SolveDifference.
-type DiffConstraint struct {
-	U, V  int
-	Bound float64
-}
-
-// SolveDifference solves the system {x[c.U] - x[c.V] <= c.Bound} over n
-// variables with Bellman–Ford. It returns a feasible assignment (the
-// shortest-path potentials from a virtual source connected to every vertex
-// with zero-length arcs), or ok=false if the system is infeasible.
-//
-// The returned assignment is the component-wise maximum solution with
-// x <= 0; any constant may be added to it.
-func SolveDifference(n int, cons []DiffConstraint) (x []float64, ok bool) {
-	// Constraint x[u] - x[v] <= b becomes arc v -> u with length b;
-	// dist[u] <= dist[v] + b after relaxation.
-	x = make([]float64, n) // virtual source: all start at 0
-	for iter := 0; iter <= n; iter++ {
-		changed := false
-		for _, c := range cons {
-			if c.U < 0 || c.U >= n || c.V < 0 || c.V >= n {
-				panic(fmt.Sprintf("graph: constraint (%d,%d) out of range [0,%d)", c.U, c.V, n))
-			}
-			if nd := x[c.V] + c.Bound; nd < x[c.U]-1e-12 {
-				x[c.U] = nd
-				changed = true
-			}
-		}
-		if !changed {
-			return x, true
-		}
-	}
-	return nil, false
-}
-
-// SolveDifferenceInt solves an integral system of difference constraints
-// {x[us[i]] - x[vs[i]] <= bounds[i]} with integer bounds, returning an
-// integral solution. ok=false if infeasible.
-func SolveDifferenceInt(n int, us, vs, bounds []int) (x []int, ok bool) {
-	x, ok, _ = SolveDifferenceIntSPFA(n, us, vs, bounds)
-	return x, ok
-}
-
 // Worklist is a FIFO queue of vertex IDs with membership dedup: pushing a
 // vertex already in the queue is a no-op, so each vertex appears at most
 // once. It is the scan frontier of the SPFA-style difference-constraint
@@ -146,8 +100,10 @@ func FindParentCycle(parent []int32) []int32 {
 	return nil
 }
 
-// SolveDifferenceIntSPFA solves the same system as SolveDifferenceInt with
-// a worklist (SPFA) instead of full Bellman–Ford passes, and detects
+// SolveDifferenceIntSPFA solves an integral system of difference
+// constraints {x[us[i]] - x[vs[i]] <= bounds[i]} over n variables, returning
+// an integral solution or ok=false if the system is infeasible. It runs a
+// worklist (SPFA) instead of full Bellman–Ford passes, and detects
 // infeasibility early: every n successful relaxations the parent forest is
 // walked for a cycle (FindParentCycle), so a negative constraint cycle is
 // reported as soon as the relaxation starts orbiting it rather than after
@@ -159,8 +115,9 @@ func FindParentCycle(parent []int32) []int32 {
 // of strict relaxations has negative weight.
 //
 // The returned assignment is the component-wise maximum solution with
-// x <= 0 — identical to SolveDifferenceInt's. The third result counts
-// successful relaxations.
+// x <= 0 (the shortest-path potentials from a virtual source joined to every
+// vertex by zero-length arcs). The third result counts successful
+// relaxations.
 func SolveDifferenceIntSPFA(n int, us, vs, bounds []int) (x []int, ok bool, relaxations int) {
 	if len(us) != len(vs) || len(us) != len(bounds) {
 		panic("graph: constraint slice length mismatch")

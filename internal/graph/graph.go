@@ -1,6 +1,6 @@
 // Package graph provides the directed-graph primitives used throughout the
 // planner: adjacency-list digraphs, topological ordering, strongly connected
-// components, difference-constraint solving (Bellman–Ford), and the
+// components, difference-constraint solving (worklist SPFA), and the
 // lexicographic Dijkstra used by retiming-constraint generation.
 //
 // Vertices are dense integer IDs in [0, N). All algorithms are deterministic:

@@ -7,15 +7,14 @@
 // and the optimal retiming labels are recovered from shortest-path potentials
 // of the final residual network (see Potentials).
 //
-// The solver is driven incrementally: SetSupply/SetArcCost followed by
-// Resolve, repeatedly. The first Resolve solves cold. The residual network
-// and node potentials persist across calls, so a re-solve after a cost or
-// supply change repairs optimality from the previous flow (drain flow on
-// cost-changed arcs, restore feasible potentials, then run successive
-// shortest paths on the remaining imbalance) instead of starting cold.
-// This is what makes the LAC reweighting loop cheap: the constraint
-// network is built once and each round only routes the supply delta
-// induced by the new weights.
+// The solver has one access pattern: add every arc, then SetSupply followed
+// by Resolve, repeatedly. The first Resolve solves cold. Arc costs are fixed
+// once solving starts, so the residual network and node potentials persist
+// across calls and stay dual-feasible: a re-solve after a supply change runs
+// successive shortest paths on the new imbalance from the previous flow
+// instead of starting cold. This is what makes the LAC reweighting loop
+// cheap: the constraint network is built once and each round only routes
+// the supply change induced by the new weights.
 //
 // Capacities, costs, and supplies are float64, but callers that need
 // guaranteed termination and integral optima should supply integral values
@@ -69,9 +68,6 @@ type SolveStats struct {
 	// Warm is true when the solve reused the previous residual network and
 	// potentials instead of starting from zero flow.
 	Warm bool
-	// CostChanged counts arc pairs whose cost changed (or that were newly
-	// added) since the previous Resolve.
-	CostChanged int
 	// SupplyChanged counts nodes whose supply changed since the previous
 	// Resolve.
 	SupplyChanged int
@@ -84,10 +80,6 @@ type SolveStats struct {
 	// batch-augments along the shortest-path forest, so Phases ≤
 	// AugmentingPaths, usually by a wide margin.
 	Phases int
-	// Restarted is true when the warm potential repair hit a residual
-	// negative cycle and the solve fell back to a cold restart from zero
-	// flow.
-	Restarted bool
 	// FlowReset is true when a warm solve dropped the previous flow but
 	// kept its potentials: when most supplies changed, re-routing from
 	// zero through a clean residual beats threading the delta through the
@@ -107,14 +99,12 @@ type Graph struct {
 
 	// Incremental state: potentials and per-node imbalance (target supply
 	// minus currently routed net outflow) persist across Resolve calls.
-	pot      []float64
-	excess   []float64
-	supply   []float64
-	dirty    []int  // arc-pair indices with changed cost since last Resolve
-	dirtyArc []bool // membership mask for dirty
-	pendSup  int    // nodes with supply changed since last Resolve
-	stats    SolveStats
-	ctx      context.Context // consulted between routing phases; nil = never
+	pot     []float64
+	excess  []float64
+	supply  []float64
+	pendSup int // nodes with supply changed since last Resolve
+	stats   SolveStats
+	ctx     context.Context // consulted between routing phases; nil = never
 
 	// Per-phase scratch, reused across solves: Dijkstra labels, then the
 	// admissible-subgraph DFS (visited doubles as on-stack/dead marks, cur
@@ -139,22 +129,13 @@ func New(n int) *Graph {
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 
-// AddNode appends a node and returns its index.
-func (g *Graph) AddNode() int {
-	g.head = append(g.head, nil)
-	g.n++
-	if g.inc {
-		g.pot = append(g.pot, 0)
-		g.excess = append(g.excess, 0)
-		g.supply = append(g.supply, 0)
-	}
-	return g.n - 1
-}
-
 // AddArc adds a directed arc with the given capacity and per-unit cost and
-// returns its identifier. Capacity may be mcmf.Inf. Arcs may be added
-// between Resolve calls; the next Resolve repairs optimality around them.
+// returns its identifier. Capacity may be mcmf.Inf. Every arc must be added
+// before the first Resolve.
 func (g *Graph) AddArc(from, to int, capacity, cost float64) ArcID {
+	if g.inc {
+		panic("mcmf: AddArc after Resolve")
+	}
 	if from < 0 || from >= g.n || to < 0 || to >= g.n {
 		panic(fmt.Sprintf("mcmf: arc (%d,%d) out of range [0,%d)", from, to, g.n))
 	}
@@ -167,27 +148,12 @@ func (g *Graph) AddArc(from, to int, capacity, cost float64) ArcID {
 	g.head[from] = append(g.head[from], int(id))
 	g.head[to] = append(g.head[to], int(id)+1)
 	g.orig = append(g.orig, capacity)
-	if g.inc {
-		// A fresh arc may violate the maintained reduced-cost invariant;
-		// treat it like a cost change so Resolve repairs around it.
-		g.markDirty(int(id) / 2)
-	}
 	return id
 }
 
 // Flow returns the flow routed through arc a after the last Resolve.
 func (g *Graph) Flow(a ArcID) float64 {
 	return g.arcs[int(a)^1].cap
-}
-
-// Capacity returns the original capacity arc a was created with.
-func (g *Graph) Capacity(a ArcID) float64 {
-	return g.orig[int(a)/2]
-}
-
-// Cost returns the current per-unit cost of arc a.
-func (g *Graph) Cost(a ArcID) float64 {
-	return g.arcs[int(a)&^1].cost
 }
 
 // Stats returns the counters of the most recent Resolve.
@@ -200,36 +166,6 @@ func (g *Graph) Stats() SolveStats { return g.stats }
 // context-aborted solve the residual state is undefined, like after any
 // other solve error, and the network should be discarded.
 func (g *Graph) SetContext(ctx context.Context) { g.ctx = ctx }
-
-func (g *Graph) markDirty(pair int) {
-	for len(g.dirtyArc) <= pair {
-		g.dirtyArc = append(g.dirtyArc, false)
-	}
-	if !g.dirtyArc[pair] {
-		g.dirtyArc[pair] = true
-		g.dirty = append(g.dirty, pair)
-	}
-}
-
-// SetArcCost changes the per-unit cost of arc a. On a network driven
-// incrementally, the next Resolve drains any flow the arc carries, repairs
-// the node potentials, and re-routes the displaced units — the standard
-// warm-start move for re-solving structurally identical flow problems under
-// changing costs.
-func (g *Graph) SetArcCost(a ArcID, cost float64) {
-	if math.IsNaN(cost) {
-		panic("mcmf: NaN arc cost")
-	}
-	fwd := int(a) &^ 1
-	if g.arcs[fwd].cost == cost {
-		return
-	}
-	g.arcs[fwd].cost = cost
-	g.arcs[fwd^1].cost = -cost
-	if g.inc {
-		g.markDirty(fwd / 2)
-	}
-}
 
 // SetSupply sets the target supply vector (supply[v] > 0 means v produces
 // flow, < 0 means v consumes; the vector must sum to ~0). Only the delta
@@ -268,18 +204,16 @@ func (g *Graph) ensureIncState() {
 // Resolve routes the currently set supplies at minimum total cost and
 // returns the cost of the resulting flow. The first call solves cold
 // (Bellman–Ford potentials, then phase-batched successive shortest paths);
-// subsequent calls warm-start from the previous residual network: flow on
-// cost-changed arcs is drained and potentials are repaired, then a
-// localized supply change routes only the remaining per-node imbalance,
-// while a global one (most supplies changed) re-routes from zero flow
-// through the already-built network (see SolveStats.FlowReset). After an
-// error the residual state is undefined and the network should be
+// subsequent calls warm-start from the previous residual network and
+// potentials: a localized supply change routes only the per-node
+// imbalance, while a global one (most supplies changed) re-routes from zero
+// flow through the already-built network (see SolveStats.FlowReset). After
+// an error the residual state is undefined and the network should be
 // discarded.
 func (g *Graph) Resolve() (float64, error) {
 	g.ensureIncState()
 	st := SolveStats{
 		Warm:          g.inc,
-		CostChanged:   len(g.dirty),
 		SupplyChanged: g.pendSup,
 	}
 	g.pendSup = 0
@@ -296,9 +230,7 @@ func (g *Graph) Resolve() (float64, error) {
 			return
 		}
 		sp.SetAttr("warm", b2f(st.Warm))
-		sp.SetAttr("restarted", b2f(st.Restarted))
 		sp.SetAttr("flow_reset", b2f(st.FlowReset))
-		sp.SetAttr("cost_changed", float64(st.CostChanged))
 		sp.SetAttr("supply_changed", float64(st.SupplyChanged))
 		sp.SetAttr("phases", float64(st.Phases))
 		sp.SetAttr("augpaths", float64(st.AugmentingPaths))
@@ -315,29 +247,13 @@ func (g *Graph) Resolve() (float64, error) {
 			return 0, err
 		}
 		g.pot = pot
-	} else if len(g.dirty) > 0 {
-		g.drainDirty()
-		if !g.repairPotentials() {
-			// The repaired system has a negative residual cycle through
-			// existing flow: restart cold (correct for any cost change; the
-			// cycle is genuine only if the cold pass also finds it).
-			st.Restarted = true
-			st.Warm = false
-			g.resetFlow()
-			pot, err := g.Potentials()
-			if err != nil {
-				g.stats = st
-				return 0, err
-			}
-			g.pot = pot
-		}
 	}
 	// Adaptive warm start: a localized supply change routes fastest as a
 	// delta through the existing flow, but a global one (e.g. a LAC
 	// reweighting round, which perturbs every node's supply) routes fewer
 	// and wider paths from zero flow. Keep the potentials either way — that
 	// is the expensive part of a cold start.
-	if st.Warm && !st.Restarted && 4*st.SupplyChanged >= g.n {
+	if st.Warm && 4*st.SupplyChanged >= g.n {
 		st.FlowReset = true
 		g.resetFlow()
 		pot, err := g.Potentials()
@@ -355,52 +271,8 @@ func (g *Graph) Resolve() (float64, error) {
 	return g.flowCost(), nil
 }
 
-// drainDirty removes the flow carried by every cost-changed arc, turning it
-// back into per-node imbalance that route re-routes under the new costs.
-func (g *Graph) drainDirty() {
-	for _, pair := range g.dirty {
-		fwd, rev := 2*pair, 2*pair+1
-		f := g.arcs[rev].cap // reverse residual capacity == routed flow
-		if f > Eps {
-			g.arcs[fwd].cap += f
-			g.arcs[rev].cap = 0
-			u, v := g.arcs[rev].to, g.arcs[fwd].to
-			g.excess[u] += f
-			g.excess[v] -= f
-		}
-		g.dirtyArc[pair] = false
-	}
-	g.dirty = g.dirty[:0]
-}
-
-// repairPotentials restores the reduced-cost invariant (cost + pot[u] −
-// pot[v] ≥ 0 on every residual arc) after cost changes, by Bellman–Ford
-// relaxation warm-started from the current potentials. It reports false if
-// the residual network has a negative cycle (the caller restarts cold).
-func (g *Graph) repairPotentials() bool {
-	for iter := 0; iter <= g.n; iter++ {
-		changed := false
-		for v := 0; v < g.n; v++ {
-			for _, ai := range g.head[v] {
-				a := g.arcs[ai]
-				if a.cap <= Eps {
-					continue
-				}
-				if nd := g.pot[v] + a.cost; nd < g.pot[a.to]-costEps {
-					g.pot[a.to] = nd
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			return true
-		}
-	}
-	return false
-}
-
 // resetFlow returns every arc to its original capacity and the imbalance to
-// the full supply vector (the cold-restart fallback).
+// the full supply vector (the adaptive flow reset).
 func (g *Graph) resetFlow() {
 	for p, c := range g.orig {
 		g.arcs[2*p].cap = c
@@ -409,9 +281,9 @@ func (g *Graph) resetFlow() {
 	copy(g.excess, g.supply)
 }
 
-// flowCost recomputes the total cost of the routed flow under the current
-// arc costs (incremental accounting would drift across drains and
-// re-routes; the direct sum is exact and O(m)).
+// flowCost recomputes the total cost of the routed flow (incremental
+// accounting would drift across flow resets and re-routes; the direct sum
+// is exact and O(m)).
 func (g *Graph) flowCost() float64 {
 	var total float64
 	for p := range g.orig {

@@ -260,18 +260,6 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestAddNodeAfterConstruction(t *testing.T) {
-	g := New(1)
-	v := g.AddNode()
-	if v != 1 || g.N() != 2 {
-		t.Fatalf("AddNode -> %d, N=%d", v, g.N())
-	}
-	g.AddArc(0, v, 5, 1)
-	if _, err := solve(g, []float64{3, -3}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestResidualReducedCostsNonnegative is the tolerance-unification stress
 // test: random networks with near-tied path costs (distinct paths whose
 // lengths differ by ~1e-10, below costEps) and Inf-capacity arcs. After
@@ -323,41 +311,6 @@ func TestResidualReducedCostsNonnegative(t *testing.T) {
 		if t.Failed() {
 			t.Fatalf("trial %d: residual reduced-cost invariant violated", trial)
 		}
-	}
-}
-
-func TestResolveWarmReroutesOnCostChange(t *testing.T) {
-	// Two parallel routes 0->2; after the cheap one gets expensive, a warm
-	// Resolve must drain it and move the flow to the other route.
-	g := New(3)
-	direct := g.AddArc(0, 2, 10, 5)
-	via1 := g.AddArc(0, 1, 10, 1)
-	via2 := g.AddArc(1, 2, 10, 1)
-	if err := g.SetSupply([]float64{4, 0, -4}); err != nil {
-		t.Fatal(err)
-	}
-	cost, err := g.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost != 8 || g.Flow(via1) != 4 || g.Flow(direct) != 0 {
-		t.Fatalf("cold: cost=%g via=%g direct=%g", cost, g.Flow(via1), g.Flow(direct))
-	}
-	if st := g.Stats(); st.Warm || st.AugmentingPaths == 0 {
-		t.Fatalf("cold stats: %+v", st)
-	}
-
-	g.SetArcCost(via1, 9)
-	cost, err = g.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost != 20 || g.Flow(direct) != 4 || g.Flow(via1) != 0 || g.Flow(via2) != 0 {
-		t.Fatalf("warm: cost=%g direct=%g via=%g/%g", cost, g.Flow(direct), g.Flow(via1), g.Flow(via2))
-	}
-	st := g.Stats()
-	if !st.Warm || st.CostChanged != 1 || st.SupplyChanged != 0 {
-		t.Fatalf("warm stats: %+v", st)
 	}
 }
 
@@ -423,7 +376,7 @@ func TestResolveGlobalSupplyChangeResetsFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := g.Stats()
-	if !st.Warm || !st.FlowReset || st.Restarted {
+	if !st.Warm || !st.FlowReset {
 		t.Fatalf("stats: %+v", st)
 	}
 	wantCost, wantPot := coldCopy(t, n, specs, costs, supply)
@@ -460,13 +413,14 @@ func TestResolveUnchangedIsFree(t *testing.T) {
 		t.Fatalf("re-resolve changed cost: %g -> %g", c1, c2)
 	}
 	st := g.Stats()
-	if !st.Warm || st.AugmentingPaths != 0 || st.CostChanged != 0 || st.SupplyChanged != 0 {
+	if !st.Warm || st.AugmentingPaths != 0 || st.SupplyChanged != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
 
 func TestAddArcAfterResolve(t *testing.T) {
-	// A cheaper arc added after the first solve must win on re-solve.
+	// The network is fixed once solving starts: an arc added after the
+	// first Resolve is a programming error, like an out-of-range endpoint.
 	g := New(2)
 	g.AddArc(0, 1, 10, 5)
 	if err := g.SetSupply([]float64{3, -3}); err != nil {
@@ -475,20 +429,12 @@ func TestAddArcAfterResolve(t *testing.T) {
 	if _, err := g.Resolve(); err != nil {
 		t.Fatal(err)
 	}
-	cheap := g.AddArc(0, 1, 10, 1)
-	cost, err := g.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost != 3 || g.Flow(cheap) != 3 {
-		t.Fatalf("cost=%g flow(cheap)=%g, want 3, 3", cost, g.Flow(cheap))
-	}
-	// The cheap arc plus the loaded expensive arc's reverse form a genuine
-	// residual negative cycle, so the engine takes its documented cold
-	// fallback rather than a pure warm repair — correctness over speed.
-	if st := g.Stats(); st.CostChanged != 1 || !(st.Warm || st.Restarted) {
-		t.Fatalf("stats: %+v", st)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddArc after Resolve did not panic")
+		}
+	}()
+	g.AddArc(0, 1, 10, 1)
 }
 
 func TestSetSupplyValidation(t *testing.T) {
@@ -525,8 +471,8 @@ func coldCopy(t *testing.T, n int, specs [][4]float64, costs, supply []float64) 
 }
 
 // TestResolveWarmEqualsColdRandom is the warm/cold equivalence gate at the
-// mcmf level: random networks driven through rounds of random cost and
-// supply changes must match a from-scratch solve in optimal cost after
+// mcmf level: random networks driven through rounds of random supply
+// changes must match a from-scratch solve in optimal cost after
 // every round, and — because the residual network of any optimal flow spans
 // the same dual face — in canonical potentials too. The augmentCheck hook
 // keeps the reduced-cost invariant asserted after every augmentation of
@@ -566,20 +512,13 @@ func TestResolveWarmEqualsColdRandom(t *testing.T) {
 			}
 		}
 		g := New(n)
-		var ids []ArcID
 		for i, s := range specs {
-			ids = append(ids, g.AddArc(int(s[0]), int(s[1]), s[2], costs[i]))
+			g.AddArc(int(s[0]), int(s[1]), s[2], costs[i])
 		}
 		supply := make([]float64, n)
-		warmOK := true
 		for round := 0; round < 5; round++ {
 			if round > 0 {
-				// Mutate a few costs and shift supplies, keeping balance.
-				for k := 0; k < 1+rng.Intn(3) && len(ids) > 0; k++ {
-					i := rng.Intn(len(ids))
-					costs[i] = float64(rng.Intn(6))
-					g.SetArcCost(ids[i], costs[i])
-				}
+				// Shift supplies, keeping balance.
 				u, v := rng.Intn(n), rng.Intn(n)
 				d := float64(1 + rng.Intn(2))
 				supply[u] += d
@@ -593,13 +532,12 @@ func TestResolveWarmEqualsColdRandom(t *testing.T) {
 			}
 			warmCost, err := g.Resolve()
 			if err == ErrInfeasible {
-				warmOK = false
 				break // state undefined after error; stop this trial
 			}
 			if err != nil {
 				t.Fatalf("trial %d round %d: %v", trial, round, err)
 			}
-			if round > 0 && !g.Stats().Warm && !g.Stats().Restarted {
+			if round > 0 && !g.Stats().Warm {
 				t.Fatalf("trial %d round %d: expected warm solve, stats %+v", trial, round, g.Stats())
 			}
 			coldCost, coldPot := coldCopy(t, n, specs, costs, supply)
@@ -620,26 +558,5 @@ func TestResolveWarmEqualsColdRandom(t *testing.T) {
 				t.Fatalf("trial %d round %d: invariant violated", trial, round)
 			}
 		}
-		_ = warmOK
-	}
-}
-
-func TestStatsCountsChangedArcsOnce(t *testing.T) {
-	g := New(2)
-	a := g.AddArc(0, 1, 10, 1)
-	if err := g.SetSupply([]float64{1, -1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Resolve(); err != nil {
-		t.Fatal(err)
-	}
-	g.SetArcCost(a, 2)
-	g.SetArcCost(a, 3) // same arc twice: one dirty entry
-	g.SetArcCost(a, 3) // no-op: cost unchanged
-	if _, err := g.Resolve(); err != nil {
-		t.Fatal(err)
-	}
-	if st := g.Stats(); st.CostChanged != 1 {
-		t.Fatalf("CostChanged=%d, want 1", st.CostChanged)
 	}
 }

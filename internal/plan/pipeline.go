@@ -173,8 +173,8 @@ type PlanState struct {
 	VertexOf map[netlist.NodeID]int
 
 	// Periods / constraints stages. Source is the constraint source the
-	// periods stage built and searched on; the constraints stage and the
-	// LAC problem regenerate clock constraints through it.
+	// periods stage built and searched on; the constraints stage generates
+	// the clock constraints at Tclk through it, reusing its cached rows.
 	Source      retime.ConstraintSource
 	Constraints *retime.Constraints
 

@@ -139,7 +139,7 @@ func (constraintsStage) Run(ctx context.Context, st *PlanState, cfg *Config) err
 	res.Problem = &core.Problem{
 		Graph: rg, Tclk: res.Tclk,
 		TileOf: st.TileOf, Cap: caps, FFArea: st.Tech.FFArea,
-		Constraints: cs, Source: st.Source,
+		Constraints: cs,
 	}
 	return nil
 }

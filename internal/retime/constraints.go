@@ -188,25 +188,20 @@ func (rg *Graph) BuildConstraints(T float64, src ConstraintSource) (*Constraints
 	return cs, nil
 }
 
-// Feasible solves the constraint system with Bellman–Ford, returning a
-// feasible integral labeling normalized so that pinned vertices (if any) are
-// zero, or ok=false.
+// Feasible solves the constraint system with the worklist (SPFA)
+// difference-constraint solver, returning a feasible integral labeling
+// normalized so that pinned vertices (if any) are zero, or ok=false. The
+// solver reports a negative cycle as soon as its parent forest closes, not
+// after n+1 full Bellman–Ford passes, and its labeling is the unique
+// component-wise maximum solution ≤ 0 before normalization.
 func (cs *Constraints) Feasible(rg *Graph) (r []int, ok bool) {
-	r, ok, _ = cs.FeasibleStats(rg)
-	return r, ok
-}
-
-// FeasibleStats is Feasible plus the Bellman–Ford relaxation count — the
-// work measure of one feasibility probe, surfaced as a sub-stage span
-// attribute by the observed period search.
-func (cs *Constraints) FeasibleStats(rg *Graph) (r []int, ok bool, relaxations int) {
 	us, vs, bs := cs.solverArrays()
-	x, ok, relax := solveDiffInt(cs.N, us, vs, bs)
+	x, ok, _ := graph.SolveDifferenceIntSPFA(cs.N, us, vs, bs)
 	if !ok {
-		return nil, false, relax
+		return nil, false
 	}
 	normalize(rg, x)
-	return x, true, relax
+	return x, true
 }
 
 // normalize shifts labels so pinned vertices sit at zero (all pinned labels
@@ -226,17 +221,6 @@ func normalize(rg *Graph, r []int) {
 	for i := range r {
 		r[i] -= off
 	}
-}
-
-// solveDiffInt solves the difference-constraint system with the worklist
-// (SPFA) solver, which detects a negative cycle as soon as the parent
-// forest closes instead of after n+1 full Bellman–Ford passes — infeasible
-// probes dominate a binary search, so early exit there is the common case.
-// The labeling is the same unique component-wise maximum solution ≤ 0 the
-// full-pass solver produced. The third result counts successful
-// relaxations.
-func solveDiffInt(n int, us, vs, bounds []int) ([]int, bool, int) {
-	return graph.SolveDifferenceIntSPFA(n, us, vs, bounds)
 }
 
 func sortConstraints(cons []Constraint) {

@@ -116,7 +116,6 @@ type FeasSolver struct {
 	// arcs, which the zero labeling solves).
 	x     []int
 	xSnap []int
-	tCur  float64
 	fCur  float64
 
 	// witnessMinD is the strongest negative-cycle witness found: the
@@ -172,16 +171,12 @@ func activation(T float64) float64 { return T + periodTol(T) }
 // tfloor are excluded from the index. The source's own floor must not
 // exceed tfloor (its rows must cover every probe-able period). Probing
 // below tfloor returns an error.
-func NewFeasSolver(rg *Graph, src ConstraintSource, tfloor float64) (*FeasSolver, error) {
-	return NewFeasSolverContext(context.Background(), rg, src, tfloor)
-}
-
-// NewFeasSolverContext is NewFeasSolver under a context. Building the
-// candidate index is the construction cost — with a lazy source it runs
-// one W/D sweep per live vertex — so the build observes the context and
-// aborts with its error on expiry. Callers running anytime searches treat
-// that abort like a deadline between probes (see MinPeriod).
-func NewFeasSolverContext(ctx context.Context, rg *Graph, src ConstraintSource, tfloor float64) (*FeasSolver, error) {
+//
+// Building the candidate index is the construction cost — with a lazy
+// source it runs one W/D sweep per live vertex — so the build observes ctx
+// and aborts with its error on expiry. Callers running anytime searches
+// treat that abort like a deadline between probes (see MinPeriod).
+func NewFeasSolver(ctx context.Context, rg *Graph, src ConstraintSource, tfloor float64) (*FeasSolver, error) {
 	n := rg.N()
 	if src.N() != n {
 		return nil, fmt.Errorf("retime: constraint source for %d vertices, graph has %d", src.N(), n)
@@ -198,7 +193,6 @@ func NewFeasSolverContext(ctx context.Context, rg *Graph, src ConstraintSource, 
 		matFloor:    math.Inf(1),
 		x:           make([]int, n),
 		xSnap:       make([]int, n),
-		tCur:        math.Inf(1),
 		fCur:        math.Inf(1),
 		witnessMinD: math.Inf(-1),
 		wl:          graph.NewWorklist(n),
@@ -378,7 +372,6 @@ func (fs *FeasSolver) reset() {
 	for i := range fs.x {
 		fs.x[i] = 0
 	}
-	fs.tCur = math.Inf(1)
 	fs.fCur = math.Inf(1)
 	fs.stats.Resets++
 }
@@ -485,7 +478,7 @@ func (fs *FeasSolver) Probe(T float64) (r []int, feasible bool, err error) {
 			}
 		}
 	}
-	fs.tCur, fs.fCur = T, fT
+	fs.fCur = fT
 	out := make([]int, n)
 	copy(out, fs.x)
 	normalize(fs.rg, out)

@@ -123,7 +123,7 @@ func labelsEqual(a, b []int) bool {
 func checkProbeSequence(t *testing.T, rg *Graph, probes []float64) {
 	t.Helper()
 	wd := oracleWD(rg)
-	fs, err := NewFeasSolver(rg, NewLazySource(rg, 0, 0), 0)
+	fs, err := NewFeasSolver(context.Background(), rg, NewLazySource(rg, 0, 0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,8 +313,7 @@ func TestWDRowFastPathMatchesGeneral(t *testing.T) {
 }
 
 // TestFeasibleInfeasibleSystem: a constraint system with a negative cycle
-// is reported infeasible (exercising the early-exit SPFA path behind
-// solveDiffInt).
+// is reported infeasible (exercising the solver's early-exit SPFA path).
 func TestFeasibleInfeasibleSystem(t *testing.T) {
 	rg := ring(2, 1, 1)
 	cs := &Constraints{N: 2, Cons: []Constraint{
@@ -326,9 +325,9 @@ func TestFeasibleInfeasibleSystem(t *testing.T) {
 	}
 }
 
-// TestFeasibleStatsReusesArrays: repeated probes against one built system
+// TestFeasibleReusesArrays: repeated probes against one built system
 // must not rebuild the solver-layout triple arrays.
-func TestFeasibleStatsReusesArrays(t *testing.T) {
+func TestFeasibleReusesArrays(t *testing.T) {
 	rg := bench89Graph(t, "s386")
 	T, _, _, err := rg.MinPeriod(context.Background(), nil, 1e-3)
 	if err != nil {
@@ -356,11 +355,11 @@ func TestFeasibleStatsReusesArrays(t *testing.T) {
 		}
 	})
 	if allocs > 10 {
-		t.Fatalf("FeasibleStats allocates %v objects per probe, want <= 10", allocs)
+		t.Fatalf("Feasible allocates %v objects per probe, want <= 10", allocs)
 	}
 }
 
-func BenchmarkFeasibleStats(b *testing.B) {
+func BenchmarkFeasible(b *testing.B) {
 	rg := bench89Graph(b, "s953")
 	T, _, _, err := rg.MinPeriod(context.Background(), nil, 1e-3)
 	if err != nil {

@@ -25,7 +25,7 @@ type MinAreaResult struct {
 	// FlowCost is the raw min-cost-flow objective (scaled, relative).
 	FlowCost float64
 	// Stats reports how the underlying flow engine handled this solve
-	// (warm vs cold, changed arcs/supplies, augmenting paths run).
+	// (warm vs cold, changed supplies, augmenting paths run).
 	Stats mcmf.SolveStats
 }
 

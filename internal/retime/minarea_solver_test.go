@@ -42,9 +42,6 @@ func TestMinAreaSolverMatchesOneShot(t *testing.T) {
 		if warm.Stats.Warm != (round > 0) {
 			t.Fatalf("round %d: Warm=%v", round, warm.Stats.Warm)
 		}
-		if warm.Stats.CostChanged != 0 {
-			t.Fatalf("round %d: CostChanged=%d; constraint bounds never change", round, warm.Stats.CostChanged)
-		}
 	}
 	// The fourth round repeated the third's weights: nothing to route.
 	if st := s.Stats(); st.AugmentingPaths != 0 || st.SupplyChanged != 0 {

@@ -121,7 +121,7 @@ func (rg *Graph) MinPeriod(ctx context.Context, src ConstraintSource, eps float6
 	// same deadline as the probes: an expiry mid-build degrades to the
 	// zero-probe partial (Hi = the unretimed period, realized by the zero
 	// labeling) instead of sweeping past the budget.
-	fs, err := NewFeasSolverContext(ctx, rg, src, lo)
+	fs, err := NewFeasSolver(ctx, rg, src, lo)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return 0, nil, stats, partial(cerr)
