@@ -173,11 +173,12 @@ func BenchmarkSharingModel(b *testing.B) {
 }
 
 // BenchmarkConstraintGeneration times generation at Tclk the way the
-// constraints stage runs it: from a source (floored like the planner's)
-// that has already swept the rows at Tclk, so its rows come from the cache.
+// constraints stage runs it: from a source floored like the planner's (at
+// the period floor) that has already swept the rows at Tclk, so its rows
+// come from the cache.
 func BenchmarkConstraintGeneration(b *testing.B) {
 	r := plannedCircuit(b, "s953")
-	src := retime.NewLazySource(r.Graph, r.Graph.MaxDelay(), 0)
+	src := retime.NewLazySource(r.Graph, r.Graph.PeriodFloor(), 0)
 	if _, err := r.Graph.BuildConstraints(r.Tclk, src); err != nil {
 		b.Fatal(err)
 	}

@@ -242,7 +242,6 @@ func TestCrashAfterEveryCheckpoint(t *testing.T) {
 		t.Run(boundary, func(t *testing.T) {
 			dir := t.TempDir()
 			park := make(chan struct{})
-			t.Cleanup(func() { close(park) })
 			var saves atomic.Int64
 			var frozen atomic.Bool
 			m1, err := job.Open(job.Options{
@@ -257,6 +256,13 @@ func TestCrashAfterEveryCheckpoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			t.Cleanup(func() {
+				// Release the crashed incarnation and wait for it to finish
+				// before TempDir's cleanup removes dir: resumed, it goes on
+				// writing checkpoints into the directory being removed.
+				close(park)
+				m1.Shutdown(context.Background())
+			})
 			j1, err := m1.Submit(r)
 			if err != nil {
 				t.Fatal(err)

@@ -4,9 +4,8 @@
 //
 // For a sequential circuit this is the classical iteration bound — no
 // retiming can achieve a clock period below it, and (ignoring I/O-path
-// limits) a period of MCR is always achievable. The planner uses it as an
-// independent cross-check of the binary-search minimum-period retiming,
-// and it is an informative lower bound to report next to Tmin.
+// limits) a period of MCR is always achievable. It is an informative lower
+// bound to report next to Tmin.
 //
 // The implementation is a parametric shortest-path search (Lawler's
 // binary search over the ratio λ): a cycle with delay(c) − λ·regs(c) > 0
@@ -14,6 +13,12 @@
 // cycle detection on edge lengths delay(u) − λ·w(e). Vertex delays are
 // folded onto outgoing edges, matching the retiming convention that a
 // cycle's delay is the sum of its vertex delays.
+//
+// Lawler's search is slow but shares no code with the planner, so it stays
+// the independent oracle: check.Verify cross-checks the minimum-period
+// retiming against it. The planner's period-search floor does not come
+// from here but from retime.CycleBound, Howard's policy iteration over the
+// same ratio, which the package tests check against this one.
 package mcr
 
 import (

@@ -5,7 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
+	"lacret/internal/bench89"
 	"lacret/internal/retime"
 )
 
@@ -195,5 +197,118 @@ func TestMCRAgainstBruteForce(t *testing.T) {
 		if math.Abs(got.Ratio-best) > 1e-6 {
 			t.Fatalf("trial %d: solver %g, brute force %g", trial, got.Ratio, best)
 		}
+	}
+}
+
+// bench89Graph builds the retiming graph of a catalog circuit with uniform
+// delays in [1, 5].
+func bench89Graph(t *testing.T, name string) *retime.Graph {
+	t.Helper()
+	p, ok := bench89.ByName(name)
+	if !ok {
+		t.Fatalf("no catalog circuit %q", name)
+	}
+	nl, err := bench89.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl.AssignUniform(1.0, 5.0)
+	col, err := nl.Collapse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg, _, err := retime.FromCollapsed(nl, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rg
+}
+
+// randomCyclicGraph builds a random graph with real-valued delays, random
+// register counts (every backward edge registered, so no combinational
+// cycle) and optional registered self-loops.
+func randomCyclicGraph(rng *rand.Rand) *retime.Graph {
+	n := 2 + rng.Intn(10)
+	rg := retime.NewGraph()
+	for i := 0; i < n; i++ {
+		rg.AddVertex("u", retime.KindUnit, rng.Float64()*5)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if rng.Float64() < 0.7 {
+				continue
+			}
+			w := rng.Intn(3)
+			if j <= i && w == 0 {
+				w = 1 + rng.Intn(2)
+			}
+			rg.AddEdge(i, j, w)
+		}
+	}
+	return rg
+}
+
+// TestCycleBoundMatchesLawler: Howard's cycle bound agrees with Lawler's
+// parametric search, and — being the ratio of an explicit cycle — never
+// exceeds it, so it is a sound floor for the period search. "Never" is up
+// to the oracle's own resolution: its positive-cycle test ignores gains
+// below 1e-12, so its ratio can sit that far under the true maximum.
+func TestCycleBoundMatchesLawler(t *testing.T) {
+	const lawlerRes = 1e-11
+	check := func(t *testing.T, rg *retime.Graph) bool {
+		t.Helper()
+		got := rg.CycleBound()
+		want := MaxCycleRatio(rg, 1e-9)
+		if !want.HasCycle {
+			if got != 0 {
+				t.Errorf("acyclic graph: CycleBound %g, want 0", got)
+			}
+			return !t.Failed()
+		}
+		if math.Abs(got-want.Ratio) > 1e-6 {
+			t.Errorf("CycleBound %.12g, Lawler %.12g", got, want.Ratio)
+		}
+		if got > want.Ratio+lawlerRes*math.Max(1, want.Ratio) {
+			t.Errorf("CycleBound %.17g exceeds Lawler %.17g", got, want.Ratio)
+		}
+		return !t.Failed()
+	}
+	t.Run("random", func(t *testing.T) {
+		f := func(seed int64) bool {
+			return check(t, randomCyclicGraph(rand.New(rand.NewSource(seed))))
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("acyclic", func(t *testing.T) {
+		rg := retime.NewGraph()
+		a := rg.AddVertex("a", retime.KindUnit, 3)
+		b := rg.AddVertex("b", retime.KindUnit, 4)
+		c := rg.AddVertex("c", retime.KindUnit, 5)
+		rg.AddEdge(a, b, 0)
+		rg.AddEdge(b, c, 1)
+		rg.AddEdge(a, c, 0)
+		check(t, rg)
+	})
+	t.Run("self-loop", func(t *testing.T) {
+		// A self-loop of ratio 2.5 beside a two-cycle of ratio 6/4.
+		rg := retime.NewGraph()
+		v := rg.AddVertex("v", retime.KindUnit, 5)
+		a := rg.AddVertex("a", retime.KindUnit, 3)
+		b := rg.AddVertex("b", retime.KindUnit, 3)
+		rg.AddEdge(v, v, 2)
+		rg.AddEdge(a, b, 1)
+		rg.AddEdge(b, a, 3)
+		rg.AddEdge(v, a, 0)
+		if got := rg.CycleBound(); got != 2.5 {
+			t.Fatalf("CycleBound %g, want 2.5", got)
+		}
+		check(t, rg)
+	})
+	for _, name := range []string{"s386", "s400", "s526", "s641", "s820", "s953", "s1196", "s1269", "s1423"} {
+		t.Run(name, func(t *testing.T) {
+			check(t, bench89Graph(t, name))
+		})
 	}
 }

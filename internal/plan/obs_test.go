@@ -107,6 +107,39 @@ func TestPlanObserved(t *testing.T) {
 			}
 		}
 	}
+	// Probes below the period floor are flagged on their spans, counted
+	// in the registry and in the periods stage counters, beside the floor.
+	boundSpans := 0
+	for _, sp := range sub["periods"] {
+		if sp.Name != "probe" {
+			continue
+		}
+		v, ok := sp.Attr("bound_reject")
+		if !ok {
+			t.Error("probe span missing bound_reject attr")
+		}
+		if v == 1 {
+			boundSpans++
+		}
+	}
+	if got := rec.Registry().Snapshot().Counters["retime.bound_rejects"]; got != int64(boundSpans) || boundSpans != res.Probe.BoundRejects {
+		t.Errorf("bound rejects: counter %d, spans %d, ProbeStats %d", got, boundSpans, res.Probe.BoundRejects)
+	}
+	for _, ev := range res.Trace {
+		if ev.Stage != "periods" {
+			continue
+		}
+		cs := map[string]float64{}
+		for _, c := range ev.Counters {
+			cs[c.Name] = c.Value
+		}
+		if cs["bound_rejects"] != float64(res.Probe.BoundRejects) {
+			t.Errorf("periods bound_rejects counter %g, ProbeStats %d", cs["bound_rejects"], res.Probe.BoundRejects)
+		}
+		if f := cs["period_floor"]; f < res.Graph.MaxDelay() || f > res.Tmin {
+			t.Errorf("period_floor %g outside [MaxDelay %g, Tmin %g]", f, res.Graph.MaxDelay(), res.Tmin)
+		}
+	}
 
 	// The shared registry accumulated the work counters.
 	snap := rec.Registry().Snapshot()

@@ -12,7 +12,8 @@ import (
 // TestLazyEngineSmokeS5378 is the CI guard for the lazy constraint engine:
 // a full s5378 plan (47k retiming vertices as planned) must run within the
 // memory of a CI runner — all-pairs W/D matrices at this size would be
-// ~27 GB, where the measured lazy peak under the CI budget is ~8 GB.
+// ~27 GB, where the lazy engine's bulk, the period search's candidate
+// index floored at the iteration bound, is 8.1 GB when complete.
 //
 // Gated behind LACRET_SMOKE=1 like the warm-probe smoke: it plans the
 // largest Table 1 circuit, which is too slow for the default test run. The

@@ -21,11 +21,12 @@ func (periodsStage) Name() string { return stagePeriods }
 // buildConstraintSource constructs the pass's constraint source over the
 // retiming graph — shared by the regular periods run and the
 // checkpoint-resume path, which must rebuild the exact same source without
-// re-running the period search. It is floored at the search's lower
-// bracket end (the maximum vertex delay): no probe, and no later
-// constraint generation at Tclk >= Tmin >= floor, ever asks below it.
+// re-running the period search. It is floored at the search's floor
+// (Graph.PeriodFloor, the iteration bound less a tolerance margin): the
+// solver rejects every probe below it without reading a row, and no later
+// constraint generation at Tclk >= Tmin >= floor asks below it either.
 func buildConstraintSource(rg *retime.Graph) retime.ConstraintSource {
-	return retime.NewLazySource(rg, rg.MaxDelay(), 0)
+	return retime.NewLazySource(rg, rg.PeriodFloor(), 0)
 }
 
 func (periodsStage) Run(ctx context.Context, st *PlanState, cfg *Config) error {
@@ -97,7 +98,11 @@ func (periodsStage) Counters(st *PlanState) []Counter {
 		{"probes", float64(res.Probe.Probes)},
 		{"feas_warm", float64(res.Probe.Warm)},
 		{"witness_rejects", float64(res.Probe.WitnessRejects)},
+		{"bound_rejects", float64(res.Probe.BoundRejects)},
 		{"pairs_scanned", float64(res.Probe.PairsScanned)},
+	}
+	if st.Source != nil {
+		cs = append(cs, Counter{"period_floor", st.Source.Floor()})
 	}
 	mem := res.ProbeMem
 	return append(cs,

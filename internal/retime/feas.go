@@ -24,13 +24,16 @@ type ProbeStats struct {
 	// WitnessRejects counts infeasible probes rejected by a recorded
 	// negative-cycle witness without any constraint work.
 	WitnessRejects int
+	// BoundRejects counts infeasible probes below the solver's floor
+	// (Graph.PeriodFloor), rejected without any constraint work.
+	BoundRejects int
 	// Resets counts probes above the current warm threshold that had to
 	// restart from the all-zero labeling (never happens in a binary
 	// search, whose feasible probes descend monotonically).
 	Resets int
 	// IndexPairs is the size of the D-sorted candidate pair index — the
-	// clock-constraint universe the whole search can ever touch, after
-	// dominance pruning.
+	// clock-constraint universe the whole search can ever touch above the
+	// floor, after dominance pruning.
 	IndexPairs int64
 	// PairsScanned counts candidate pairs whose activation status was
 	// examined across all probes. The cold search rescans all O(V²)
@@ -75,7 +78,7 @@ type feasArc struct {
 //   - A candidate pair index built once from a ConstraintSource (the
 //     lazy sweep engine): per source row u, the
 //     destinations v whose clock constraint can ever activate (D(u,v)
-//     above the search floor), sorted by D descending, with the dominance
+//     above the period floor), sorted by D descending, with the dominance
 //     rule of ClockConstraints folded in as an interval condition
 //     (a pair dominated at every period where it is active is dropped).
 //   - Lazy constraint materialization: a probe at period T materializes
@@ -88,6 +91,9 @@ type feasArc struct {
 //     sweeping all vertices; an infeasible probe restores the labeling and
 //     records the negative cycle's witness — the smallest D on the cycle —
 //     so every later probe below that witness is rejected in O(1).
+//   - A period floor (Graph.PeriodFloor): the iteration bound less a
+//     tolerance margin. Probes below it are rejected in O(1), and the
+//     index holds no pair that only activates there.
 //
 // The verdicts and labelings are exactly those of the cold path
 // (BuildConstraints + Feasible): the warm relaxation converges to the
@@ -96,10 +102,9 @@ type feasArc struct {
 //
 // A solver serves one goroutine at a time.
 type FeasSolver struct {
-	rg       *Graph
-	src      ConstraintSource
-	tfloor   float64
-	maxDelay float64
+	rg    *Graph
+	src   ConstraintSource
+	floor float64
 
 	// Candidate clock-pair index, per source row u, D descending.
 	rows    [][]indexPair
@@ -164,31 +169,30 @@ func periodTol(T float64) float64 {
 // strictly increasing in T, so lower periods activate supersets.
 func activation(T float64) float64 { return T + periodTol(T) }
 
-// NewFeasSolver builds a persistent probe solver for periods in
-// [tfloor, ∞) over a ConstraintSource. tfloor is the lowest period any
-// probe may ask about — the binary search uses its lower bracket end (the
-// maximum vertex delay); pairs whose constraint can only activate below
-// tfloor are excluded from the index. The source's own floor must not
-// exceed tfloor (its rows must cover every probe-able period). Probing
-// below tfloor returns an error.
+// NewFeasSolver builds a persistent probe solver over a ConstraintSource,
+// floored at the graph's PeriodFloor: no period below it is achievable,
+// so probes there are rejected in O(1) and pairs whose constraint can only
+// activate below it are excluded from the index. The source's own floor
+// must not exceed the period floor (its rows must cover every period the
+// solver solves).
 //
 // Building the candidate index is the construction cost — with a lazy
 // source it runs one W/D sweep per live vertex — so the build observes ctx
 // and aborts with its error on expiry. Callers running anytime searches
 // treat that abort like a deadline between probes (see MinPeriod).
-func NewFeasSolver(ctx context.Context, rg *Graph, src ConstraintSource, tfloor float64) (*FeasSolver, error) {
+func NewFeasSolver(ctx context.Context, rg *Graph, src ConstraintSource) (*FeasSolver, error) {
 	n := rg.N()
 	if src.N() != n {
 		return nil, fmt.Errorf("retime: constraint source for %d vertices, graph has %d", src.N(), n)
 	}
-	if src.Floor() > tfloor {
-		return nil, fmt.Errorf("retime: constraint source floor %g above solver floor %g", src.Floor(), tfloor)
+	floor := rg.PeriodFloor()
+	if src.Floor() > floor {
+		return nil, fmt.Errorf("retime: constraint source floor %g above period floor %g", src.Floor(), floor)
 	}
 	fs := &FeasSolver{
 		rg:          rg,
 		src:         src,
-		tfloor:      tfloor,
-		maxDelay:    rg.MaxDelay(),
+		floor:       floor,
 		arcs:        make([][]feasArc, n),
 		matFloor:    math.Inf(1),
 		x:           make([]int, n),
@@ -226,17 +230,17 @@ const indexParallelThreshold = 64
 
 // buildIndex fills the per-row candidate pair index from the constraint
 // source. A pair (u,v) is a candidate iff its clock constraint can
-// activate at some probe-able period (D(u,v) > activation(tfloor)) and is
-// not dominated throughout its activation range — exactly the rows the
-// source serves at its own floor, narrowed to the solver's floor when the
-// two differ (rows are D-descending, so the narrowing is a prefix). Rows
-// are independent, so the build fans out across workers; Row is
-// concurrency-safe by contract.
+// activate at some period at or above the floor (D(u,v) >
+// activation(floor)) and is not dominated throughout its activation
+// range — exactly the rows the source serves at its own floor, narrowed
+// to the solver's floor when the two differ (rows are D-descending, so
+// the narrowing is a prefix). Rows are independent, so the build fans
+// out across workers; Row is concurrency-safe by contract.
 func (fs *FeasSolver) buildIndex(ctx context.Context) error {
 	n := fs.rg.N()
 	fs.rows = make([][]indexPair, n)
 	fs.rowNext = make([]int32, n)
-	cut := activation(fs.tfloor)
+	cut := activation(fs.floor)
 	var total atomic.Int64
 	buildRow := func(u int) {
 		row := fs.src.Row(u)
@@ -379,26 +383,24 @@ func (fs *FeasSolver) reset() {
 // Probe reports whether period T is achievable by retiming, returning a
 // realizing labeling (normalized like Feasible: pinned vertices at zero)
 // when it is. Verdicts and labelings are identical to the cold
-// BuildConstraints+Feasible path. T must be at least the solver's floor;
-// non-positive or NaN T reports infeasible, matching the cold path's
+// BuildConstraints+Feasible path. A T below the solver's floor (which
+// includes every T some single vertex delay exceeds) is infeasible in
+// O(1); non-positive or NaN T reports infeasible, matching the cold path's
 // ErrInfeasible handling in the period search.
-func (fs *FeasSolver) Probe(T float64) (r []int, feasible bool, err error) {
-	if T < fs.tfloor {
-		return nil, false, fmt.Errorf("retime: probe at %g below solver floor %g", T, fs.tfloor)
-	}
+func (fs *FeasSolver) Probe(T float64) (r []int, feasible bool) {
 	fs.stats.Probes++
 	if math.IsNaN(T) || T <= 0 {
-		return nil, false, nil
+		return nil, false
+	}
+	if T < fs.floor {
+		fs.stats.BoundRejects++
+		return nil, false
 	}
 	fT := activation(T)
-	if fs.maxDelay > fT {
-		// Some single vertex already exceeds T; no retiming fixes that.
-		return nil, false, nil
-	}
 	if fs.witnessMinD > fT {
 		// A recorded negative cycle stays fully active at T.
 		fs.stats.WitnessRejects++
-		return nil, false, nil
+		return nil, false
 	}
 	if fT > fs.fCur {
 		fs.reset()
@@ -462,7 +464,7 @@ func (fs *FeasSolver) Probe(T float64) (r []int, feasible bool, err error) {
 					if cyc := graph.FindParentCycle(fs.parent); cyc != nil {
 						fs.recordWitness(cyc)
 						copy(fs.x, fs.xSnap)
-						return nil, false, nil
+						return nil, false
 					}
 					fs.plen[a[i].u] = forestDepth(fs.parent, a[i].u)
 					sinceCheck = 0
@@ -474,7 +476,7 @@ func (fs *FeasSolver) Probe(T float64) (r []int, feasible bool, err error) {
 			if cyc := graph.FindParentCycle(fs.parent); cyc != nil {
 				fs.recordWitness(cyc)
 				copy(fs.x, fs.xSnap)
-				return nil, false, nil
+				return nil, false
 			}
 		}
 	}
@@ -482,7 +484,7 @@ func (fs *FeasSolver) Probe(T float64) (r []int, feasible bool, err error) {
 	out := make([]int, n)
 	copy(out, fs.x)
 	normalize(fs.rg, out)
-	return out, true, nil
+	return out, true
 }
 
 // recordWitness extracts the period-rejection witness of a violated

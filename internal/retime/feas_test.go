@@ -30,14 +30,16 @@ func coldProbe(rg *Graph, wd *WD, T float64) (r []int, ok bool) {
 
 // coldMinPeriodWD re-implements the period search exactly as it ran before
 // the incremental solver existed — cold probes, same bracket logic — as the
-// bit-identity oracle for the full search.
-func coldMinPeriodWD(rg *Graph, eps float64, wd *WD) (float64, []int, error) {
+// bit-identity oracle for the full search. It also returns its probe
+// count, which the incremental search must match: the period floor only
+// answers probes faster, it never removes one.
+func coldMinPeriodWD(rg *Graph, eps float64, wd *WD) (float64, []int, int, error) {
 	if eps <= 0 {
 		eps = 1e-4
 	}
 	hi, err := rg.Period()
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, 0, err
 	}
 	lo := 0.0
 	for v := 0; v < rg.N(); v++ {
@@ -50,7 +52,9 @@ func coldMinPeriodWD(rg *Graph, eps float64, wd *WD) (float64, []int, error) {
 	}
 	bestT := hi
 	bestR := make([]int, rg.N())
+	probes := 0
 	probe := func(T float64) bool {
+		probes++
 		labels, ok := coldProbe(rg, wd, T)
 		if !ok {
 			return false
@@ -78,9 +82,9 @@ func coldMinPeriodWD(rg *Graph, eps float64, wd *WD) (float64, []int, error) {
 		}
 	}
 	if err := rg.CheckFeasible(bestR, bestT); err != nil {
-		return 0, nil, err
+		return 0, nil, 0, err
 	}
-	return bestT, bestR, nil
+	return bestT, bestR, probes, nil
 }
 
 func bench89Graph(tb testing.TB, name string) *Graph {
@@ -118,21 +122,29 @@ func labelsEqual(a, b []int) bool {
 }
 
 // checkProbeSequence drives one FeasSolver over a lazy source through the
-// given periods and asserts verdict and labeling agree exactly with the
-// cold oracle at every step.
-func checkProbeSequence(t *testing.T, rg *Graph, probes []float64) {
+// given periods, followed by periods spread over [MaxDelay, PeriodFloor)
+// (the band the floor rejects but the bisection's bracket still covers),
+// and asserts verdict and labeling agree exactly with the cold oracle at
+// every step — in particular, the cold oracle is infeasible at every
+// probe the solver bound-rejects. It returns the solver's counters.
+func checkProbeSequence(t *testing.T, rg *Graph, probes []float64) ProbeStats {
 	t.Helper()
 	wd := oracleWD(rg)
-	fs, err := NewFeasSolver(context.Background(), rg, NewLazySource(rg, 0, 0), 0)
+	fs, err := NewFeasSolver(context.Background(), rg, NewLazySource(rg, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	lo, floor := rg.MaxDelay(), rg.PeriodFloor()
+	for k := 0; k < 5; k++ {
+		probes = append(probes, lo+(floor-lo)*float64(k)/5)
+	}
 	for i, T := range probes {
-		warmR, warmOK, err := fs.Probe(T)
-		if err != nil {
-			t.Fatalf("probe %d at %g: %v", i, T, err)
-		}
+		rejects := fs.Stats().BoundRejects
+		warmR, warmOK := fs.Probe(T)
 		coldR, coldOK := coldProbe(rg, wd, T)
+		if fs.Stats().BoundRejects > rejects && coldOK {
+			t.Fatalf("probe %d at %g: bound-rejected below floor %g, but the cold oracle is feasible", i, T, floor)
+		}
 		if warmOK != coldOK {
 			t.Fatalf("probe %d at %g: warm=%v cold=%v (stats %+v)", i, T, warmOK, coldOK, fs.Stats())
 		}
@@ -140,6 +152,7 @@ func checkProbeSequence(t *testing.T, rg *Graph, probes []float64) {
 			t.Fatalf("probe %d at %g: warm labels %v != cold %v", i, T, warmR, coldR)
 		}
 	}
+	return fs.Stats()
 }
 
 // TestFeasSolverMatchesColdRandom: on random graphs, arbitrary probe
@@ -183,7 +196,10 @@ func TestFeasSolverMatchesColdBench89(t *testing.T) {
 				probes = append(probes, p*(1.0-float64(k)*0.08))
 			}
 			probes = append(probes, p*0.7, p*0.95, p*0.2) // non-monotone tail
-			checkProbeSequence(t, rg, probes)
+			st := checkProbeSequence(t, rg, probes)
+			if name == "s400" && st.BoundRejects == 0 {
+				t.Fatalf("no probe below the period floor %g was bound-rejected: %+v", rg.PeriodFloor(), st)
+			}
 		})
 	}
 }
@@ -194,7 +210,7 @@ func TestFeasSolverMatchesColdBench89(t *testing.T) {
 func TestMinPeriodMatchesColdSearch(t *testing.T) {
 	check := func(t *testing.T, rg *Graph) {
 		t.Helper()
-		wantT, wantR, wantErr := coldMinPeriodWD(rg, 1e-3, oracleWD(rg))
+		wantT, wantR, _, wantErr := coldMinPeriodWD(rg, 1e-3, oracleWD(rg))
 		gotT, gotR, _, err := rg.MinPeriod(context.Background(), nil, 1e-3)
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("err=%v cold err=%v", err, wantErr)
@@ -207,6 +223,35 @@ func TestMinPeriodMatchesColdSearch(t *testing.T) {
 		}
 		if !labelsEqual(gotR, wantR) {
 			t.Fatalf("labels %v != cold %v", gotR, wantR)
+		}
+	}
+	t.Run("random", func(t *testing.T) {
+		for seed := int64(0); seed < 40; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			check(t, randomGraph(rng, 4+rng.Intn(6), seed%2 == 0))
+		}
+	})
+	for _, name := range []string{"s386", "s400"} {
+		t.Run(name, func(t *testing.T) {
+			check(t, bench89Graph(t, name))
+		})
+	}
+}
+
+// TestMinPeriodProbesMatchColdSearch: the period floor answers probes
+// below it in O(1) but removes none — the bisection keeps its bracket
+// [MaxDelay, Tinit] and its midpoints, so the incremental search makes
+// exactly as many probes as the cold one.
+func TestMinPeriodProbesMatchColdSearch(t *testing.T) {
+	check := func(t *testing.T, rg *Graph) {
+		t.Helper()
+		_, _, want, wantErr := coldMinPeriodWD(rg, 1e-3, oracleWD(rg))
+		_, _, stats, err := rg.MinPeriod(context.Background(), nil, 1e-3)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("err=%v cold err=%v", err, wantErr)
+		}
+		if err == nil && stats.Probes != want {
+			t.Fatalf("probes=%d cold=%d (stats %+v)", stats.Probes, want, stats)
 		}
 	}
 	t.Run("random", func(t *testing.T) {
@@ -410,7 +455,7 @@ func TestWarmProbeSmokeS953(t *testing.T) {
 		warmT = T
 	})
 	cold := run(func() {
-		T, _, err := coldMinPeriodWD(rg, 1e-3, wd)
+		T, _, _, err := coldMinPeriodWD(rg, 1e-3, wd)
 		if err != nil {
 			t.Fatal(err)
 		}

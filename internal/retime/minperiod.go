@@ -48,17 +48,23 @@ var applyForProbe = (*Graph).Apply
 // returned period is the actual retimed period of the found labeling, a
 // realizable value rather than a midpoint.
 //
-// src serves the clock-constraint rows. Its floor must not exceed the
-// search's lower bracket end (the maximum vertex delay); a nil src builds
-// a one-shot LazySource floored there. Callers that go on to generate
-// constraints at the chosen period pass their own source so both steps
-// share its row cache.
+// The bisection bracket is [maximum vertex delay, unretimed period]. The
+// search's floor is the graph's PeriodFloor — the iteration bound less a
+// tolerance margin, and never below the maximum vertex delay — under
+// which no period is achievable. src serves the clock-constraint rows;
+// its floor must not exceed PeriodFloor, and a nil src builds a one-shot
+// LazySource floored there. Callers that go on to generate constraints at
+// the chosen period pass their own source so both steps share its row
+// cache.
 //
-// The probes run on one FeasSolver built at the bracket's floor: each
-// probe warm-starts from the previous feasible labeling and touches only
-// the clock pairs whose activation status changed, instead of rebuilding
-// the full constraint system and sweeping all O(V²) pairs. Verdicts and
-// labelings are identical to the cold BuildConstraints+Feasible path.
+// The probes run on one FeasSolver built at the period floor: a probe
+// below it is infeasible in O(1) (ProbeStats.BoundRejects), and every
+// other probe warm-starts from the previous feasible labeling and touches
+// only the clock pairs whose activation status changed, instead of
+// rebuilding the full constraint system and sweeping all O(V²) pairs. The
+// floor only removes work: the bracket and its midpoints are those of a
+// search floored at the maximum vertex delay, and verdicts and labelings
+// are identical to the cold BuildConstraints+Feasible path.
 //
 // Under a context the deadline is checked between probes (and during the
 // solver's index build); on expiry the search returns a typed
@@ -85,7 +91,7 @@ func (rg *Graph) MinPeriod(ctx context.Context, src ConstraintSource, eps float6
 		hi = lo
 	}
 	if src == nil {
-		src = NewLazySource(rg, lo, 0)
+		src = NewLazySource(rg, rg.PeriodFloor(), 0)
 	}
 	// The zero labeling realizes hi. A successful probe at T realizes some
 	// period p <= T which becomes the new upper bound (an achievable value,
@@ -115,13 +121,14 @@ func (rg *Graph) MinPeriod(ctx context.Context, src ConstraintSource, eps float6
 	cWarm := reg.Counter("retime.feas_warm")
 	cPairs := reg.Counter("retime.pairs_scanned")
 	cWitness := reg.Counter("retime.witness_rejects")
+	cBound := reg.Counter("retime.bound_rejects")
 	hProbe := reg.Histogram("retime.probe_ms", obs.DurationBucketsMS)
 	// Solver construction builds the candidate index — with a lazy source
 	// that is the bulk of the search's sweep work, so it runs under the
 	// same deadline as the probes: an expiry mid-build degrades to the
 	// zero-probe partial (Hi = the unretimed period, realized by the zero
 	// labeling) instead of sweeping past the budget.
-	fs, err := NewFeasSolver(ctx, rg, src, lo)
+	fs, err := NewFeasSolver(ctx, rg, src)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return 0, nil, stats, partial(cerr)
@@ -146,6 +153,11 @@ func (rg *Graph) MinPeriod(ctx context.Context, src ConstraintSource, eps float6
 			} else {
 				sp.SetAttr("warm", 0)
 			}
+			if st.BoundRejects > prev.BoundRejects {
+				sp.SetAttr("bound_reject", 1)
+			} else {
+				sp.SetAttr("bound_reject", 0)
+			}
 			sp.SetAttr("bracket_hi", bestT)
 			sp.End()
 			if sp != nil {
@@ -155,13 +167,11 @@ func (rg *Graph) MinPeriod(ctx context.Context, src ConstraintSource, eps float6
 			cWarm.Add(int64(st.Warm - prev.Warm))
 			cPairs.Add(st.PairsScanned - prev.PairsScanned)
 			cWitness.Add(int64(st.WitnessRejects - prev.WitnessRejects))
+			cBound.Add(int64(st.BoundRejects - prev.BoundRejects))
 			prev = st
 			gHi.Set(bestT)
 		}()
-		labels, ok, err := fs.Probe(T)
-		if err != nil {
-			return false, err
-		}
+		labels, ok := fs.Probe(T)
 		if !ok {
 			return false, nil
 		}

@@ -104,7 +104,7 @@ func (rg *Graph) Delay(v int) float64 { return rg.delay[v] }
 
 // MaxDelay returns the largest vertex delay (0 for an empty graph): no
 // retiming achieves a period below it, so it is the period search's lower
-// bracket end and the floor of the planner's constraint source.
+// bracket end and the least value of PeriodFloor.
 func (rg *Graph) MaxDelay() float64 {
 	m := 0.0
 	for _, d := range rg.delay {

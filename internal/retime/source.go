@@ -49,9 +49,10 @@ type SourceMem struct {
 // source vertex u, the register-minimal pairs whose clock constraint can
 // activate at some period above the source's floor, ready for constraint
 // generation (ClockConstraints) and for the FeasSolver's D-sorted
-// activation index. It also bounds the period search from below: no
-// period at or below Floor() can be asked about, so Tmin candidates live
-// in (Floor(), unretimed period].
+// activation index. Its rows cover exactly the periods at or above
+// Floor(). The planner floors its source at Graph.PeriodFloor, below which
+// no period is achievable, so Tmin lies in [Floor(), unretimed period];
+// the period search rejects lower probes without reading a row.
 //
 // The production implementation is the lazy on-demand per-source sweep
 // engine (NewLazySource); the package tests check it against an all-pairs
