@@ -237,11 +237,11 @@ func reportPartial(res *plan.Result) {
 	}
 }
 
-// formatProbe renders the period search's probe counters. Pairs are
-// scanned across all probes, so the scan count can exceed the index size.
+// formatProbe renders the period search's probe counters. Pool arcs are
+// scanned across all probes, so the scan count can exceed the pool size.
 func formatProbe(p retime.ProbeStats) string {
-	return fmt.Sprintf("%d (%d warm, %d witness-rejected, %d bound-rejected)  pairs scanned: %d (%d indexed)",
-		p.Probes, p.Warm, p.WitnessRejects, p.BoundRejects, p.PairsScanned, p.IndexPairs)
+	return fmt.Sprintf("%d (%d warm, %d witness-rejected, %d bound-rejected)  pairs scanned: %d  pool: %d cuts in %d rounds",
+		p.Probes, p.Warm, p.WitnessRejects, p.BoundRejects, p.PairsScanned, p.Cuts, p.CutRounds)
 }
 
 // formatProbeMem renders the constraint source's cache and sweep counters.

@@ -147,7 +147,7 @@ func TestMinPeriodBracketInvariant(t *testing.T) {
 	}
 	for k := 1; ; k++ {
 		ctx := CancelAtNth(k)
-		_, _, _, err := rg.MinPeriod(ctx, nil, 1e-3)
+		_, _, _, err := rg.MinPeriod(ctx, 1e-3)
 		ctx.Cancel()
 		if err == nil {
 			break // the search finished before the kth checkpoint

@@ -107,7 +107,7 @@ func TestMCRLowerBoundsMinPeriod(t *testing.T) {
 		if rg.Validate() != nil {
 			continue
 		}
-		tmin, _, _, err := rg.MinPeriod(context.Background(), nil, 1e-5)
+		tmin, _, _, err := rg.MinPeriod(context.Background(), 1e-5)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -23,8 +23,8 @@ const checkpointMagic = "lacret-ckpt-v1\x00"
 // every checkpointable stage up to and including s.
 //
 // The graph stage and everything after the periods stage are deliberately
-// absent: their artifacts (retime.Graph, ConstraintSource, the live flow
-// problem) hold unexported solver state that cannot round-trip through a
+// absent: their artifacts (retime.Graph, the constraint system, the live
+// flow problem) hold unexported solver state that cannot round-trip through a
 // snapshot. They are instead recomputed on resume — cheap, deterministic
 // reconstruction from the restored prefix — while the expensive searches
 // they drive (the route rip-up loop, the min-period probe sequence) are
@@ -45,8 +45,8 @@ func checkpointIndex(stage string) int {
 }
 
 // periodsRestore carries a restored periods-stage outcome: the stage
-// re-runs on resume, but only to rebuild the constraint engine — the
-// binary search whose result these fields pin is skipped.
+// re-runs on resume, but only to adopt these fields — the binary search
+// whose result they pin is skipped.
 type periodsRestore struct {
 	Tinit, Tmin, TminLo, Tclk float64
 	Truncated                 bool

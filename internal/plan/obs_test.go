@@ -139,6 +139,53 @@ func TestPlanObserved(t *testing.T) {
 		if f := cs["period_floor"]; f < res.Graph.MaxDelay() || f > res.Tmin {
 			t.Errorf("period_floor %g outside [MaxDelay %g, Tmin %g]", f, res.Graph.MaxDelay(), res.Tmin)
 		}
+		if cs["period_floor"] != res.Probe.Floor {
+			t.Errorf("period_floor %g, ProbeStats floor %g", cs["period_floor"], res.Probe.Floor)
+		}
+		if cs["cuts"] != float64(res.Probe.Cuts) || cs["cut_rounds"] != float64(res.Probe.CutRounds) {
+			t.Errorf("periods cuts/cut_rounds %g/%g, ProbeStats %d/%d",
+				cs["cuts"], cs["cut_rounds"], res.Probe.Cuts, res.Probe.CutRounds)
+		}
+		if _, ok := cs["sweeps"]; ok {
+			t.Error("periods stage reports source sweeps; the search reads no source")
+		}
+	}
+
+	// The period search's cuts are counted per probe span, in the registry
+	// and in ProbeStats alike.
+	cutSpans := 0.0
+	for _, sp := range sub["periods"] {
+		if sp.Name != "probe" {
+			continue
+		}
+		v, ok := sp.Attr("cuts")
+		if !ok {
+			t.Error("probe span missing cuts attr")
+		}
+		cutSpans += v
+	}
+	if got := rec.Registry().Snapshot().Counters["retime.cuts"]; got == 0 || got != int64(cutSpans) || got != res.Probe.Cuts {
+		t.Errorf("cuts: counter %d, spans %g, ProbeStats %d", got, cutSpans, res.Probe.Cuts)
+	}
+
+	// The constraint source belongs to the constraints stage: its sweep
+	// and row-cache counters land there.
+	for _, ev := range res.Trace {
+		if ev.Stage != "constraints" {
+			continue
+		}
+		cs := map[string]float64{}
+		for _, c := range ev.Counters {
+			cs[c.Name] = c.Value
+		}
+		if cs["sweeps"] == 0 || cs["sweeps"] != float64(res.ProbeMem.Sweeps) {
+			t.Errorf("constraints sweeps counter %g, source %d", cs["sweeps"], res.ProbeMem.Sweeps)
+		}
+		for _, name := range []string{"rowcache_rows", "rowcache_pairs", "rowcache_evictions", "sweeps_abandoned"} {
+			if _, ok := cs[name]; !ok {
+				t.Errorf("constraints stage missing counter %s", name)
+			}
+		}
 	}
 
 	// The shared registry accumulated the work counters.

@@ -172,10 +172,7 @@ type PlanState struct {
 	TileOf   []int // capacity tile per retiming-graph vertex
 	VertexOf map[netlist.NodeID]int
 
-	// Periods / constraints stages. Source is the constraint source the
-	// periods stage built and searched on; the constraints stage generates
-	// the clock constraints at Tclk through it, reusing its cached rows.
-	Source      retime.ConstraintSource
+	// Constraints stage.
 	Constraints *retime.Constraints
 
 	// Result accumulates the reported outcome; stages fill their fields as
@@ -185,8 +182,8 @@ type PlanState struct {
 	satisfied map[string]bool // stages covered by reused state
 	truncated map[string]bool // stages that degraded at the budget deadline
 	// restoredPeriods carries a resumed checkpoint's period-search outcome:
-	// the periods stage rebuilds its constraint engine but adopts these
-	// values instead of searching again (see RestoreCheckpoint).
+	// the periods stage adopts these values instead of searching again
+	// (see RestoreCheckpoint).
 	restoredPeriods *periodsRestore
 }
 

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"os"
 	"testing"
 	"time"
@@ -9,17 +10,19 @@ import (
 	"lacret/internal/core"
 )
 
-// TestLazyEngineSmokeS5378 is the CI guard for the lazy constraint engine:
-// a full s5378 plan (47k retiming vertices as planned) must run within the
-// memory of a CI runner — all-pairs W/D matrices at this size would be
-// ~27 GB, where the lazy engine's bulk, the period search's candidate
-// index floored at the iteration bound, is 8.1 GB when complete.
+// TestLazyEngineSmokeS5378 is the CI guard for the retiming engines at
+// the largest Table 1 circuit (47k retiming vertices as planned): the
+// period search must converge to the known Tmin within the budget, where
+// all-pairs W/D matrices at this size would be ~27 GB. The search keeps
+// only the path cuts its probes need (tens of thousands), and constraint
+// generation at Tclk reads the lazy source's rows once.
 //
 // Gated behind LACRET_SMOKE=1 like the warm-probe smoke: it plans the
 // largest Table 1 circuit, which is too slow for the default test run. The
 // pass runs under a wall budget (default 5m, LACRET_SMOKE_BUDGET to
-// override) — a converged s5378 search takes ~18 min of period probing on a
-// 1-CPU box, and a budget-degraded pass exercises the engine just as well.
+// override). The search converges in seconds; constraint generation at
+// Tclk and the retiming stages after it may degrade at the budget, so the
+// test asserts nothing about them.
 func TestLazyEngineSmokeS5378(t *testing.T) {
 	if os.Getenv("LACRET_SMOKE") == "" {
 		t.Skip("set LACRET_SMOKE=1 to run")
@@ -57,8 +60,16 @@ func TestLazyEngineSmokeS5378(t *testing.T) {
 	if res.Tmin <= 0 || res.Tclk < res.Tmin || res.LAC == nil {
 		t.Fatalf("implausible plan: Tmin=%g Tclk=%g", res.Tmin, res.Tclk)
 	}
-	t.Logf("s5378 lazy plan: %d vertices, Tmin=%.3f Tclk=%.3f, %d sweeps (%d abandoned), cache %d rows/%d pairs (%d evictions, %d hits), degraded=%v",
-		res.Graph.N(), res.Tmin, res.Tclk, res.ProbeMem.Sweeps, res.ProbeMem.Abandoned,
+	for _, s := range res.TruncatedStages() {
+		if s == stagePeriods {
+			t.Fatalf("period search truncated at the budget: Tmin in (%g, %g]", res.TminLo, res.Tmin)
+		}
+	}
+	if res.TminLo != 0 || math.Abs(res.Tmin-32.302633) >= 1e-6 {
+		t.Fatalf("converged Tmin %.9f (TminLo %g), want 32.302633", res.Tmin, res.TminLo)
+	}
+	t.Logf("s5378 plan: %d vertices, Tmin=%.6f Tclk=%.3f, %d cuts in %d rounds, %d sweeps (%d abandoned), cache %d rows/%d pairs (%d evictions, %d hits), degraded=%v",
+		res.Graph.N(), res.Tmin, res.Tclk, res.Probe.Cuts, res.Probe.CutRounds, res.ProbeMem.Sweeps, res.ProbeMem.Abandoned,
 		res.ProbeMem.CachedRows, res.ProbeMem.CachedPairs, res.ProbeMem.Evictions, res.ProbeMem.Hits,
 		res.TruncatedStages())
 }

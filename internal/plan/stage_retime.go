@@ -12,35 +12,17 @@ import (
 
 // periodsStage derives the timing envelope of the as-planned design: the
 // initial period Tinit, the optimal retimed period Tmin, and the target
-// Tclk. It builds the pass's constraint source (the lazy per-source sweep
-// engine), which the constraints stage reuses for generation at Tclk.
+// Tclk.
 type periodsStage struct{}
 
 func (periodsStage) Name() string { return stagePeriods }
 
-// buildConstraintSource constructs the pass's constraint source over the
-// retiming graph — shared by the regular periods run and the
-// checkpoint-resume path, which must rebuild the exact same source without
-// re-running the period search. It is floored at the search's floor
-// (Graph.PeriodFloor, the iteration bound less a tolerance margin): the
-// solver rejects every probe below it without reading a row, and no later
-// constraint generation at Tclk >= Tmin >= floor asks below it either.
-func buildConstraintSource(rg *retime.Graph) retime.ConstraintSource {
-	return retime.NewLazySource(rg, rg.PeriodFloor(), 0)
-}
-
 func (periodsStage) Run(ctx context.Context, st *PlanState, cfg *Config) error {
 	rg, res := st.Result.Graph, st.Result
-	reg := obs.FromContext(ctx).Registry()
 	if rp := st.restoredPeriods; rp != nil {
-		// Checkpoint resume: the search outcome is already known. Rebuild
-		// only the constraint source (the graph stage re-ran, so the graph
-		// is fresh) and adopt the restored envelope; the probe counters
-		// stay zero — the proof the search was skipped, not repeated.
-		src := buildConstraintSource(rg)
-		st.Source = src
-		res.ProbeMem = src.Mem()
-		emitSourceGauges(reg, res.ProbeMem)
+		// Checkpoint resume: the search outcome is already known, so adopt
+		// the restored envelope; the probe counters stay zero — the proof
+		// the search was skipped, not repeated.
 		res.Tinit, res.Tmin, res.TminLo, res.Tclk = rp.Tinit, rp.Tmin, rp.TminLo, rp.Tclk
 		if rp.Truncated {
 			st.noteTruncated(stagePeriods)
@@ -51,8 +33,7 @@ func (periodsStage) Run(ctx context.Context, st *PlanState, cfg *Config) error {
 	if err != nil {
 		return err
 	}
-	src := buildConstraintSource(rg)
-	tmin, _, pstats, err := rg.MinPeriod(ctx, src, 1e-3)
+	tmin, _, pstats, err := rg.MinPeriod(ctx, 1e-3)
 	res.Probe = pstats
 	var tminLo float64
 	if err != nil {
@@ -67,9 +48,6 @@ func (periodsStage) Run(ctx context.Context, st *PlanState, cfg *Config) error {
 		tmin, tminLo = beb.Partial.Hi, beb.Partial.Lo
 		st.noteTruncated(stagePeriods)
 	}
-	st.Source = src
-	res.ProbeMem = src.Mem()
-	emitSourceGauges(reg, res.ProbeMem)
 	res.Tinit, res.Tmin, res.TminLo = tinit, tmin, tminLo
 	if cfg.TclkOverride > 0 {
 		res.Tclk = cfg.TclkOverride
@@ -100,34 +78,29 @@ func (periodsStage) Counters(st *PlanState) []Counter {
 		{"witness_rejects", float64(res.Probe.WitnessRejects)},
 		{"bound_rejects", float64(res.Probe.BoundRejects)},
 		{"pairs_scanned", float64(res.Probe.PairsScanned)},
+		{"cuts", float64(res.Probe.Cuts)},
+		{"cut_rounds", float64(res.Probe.CutRounds)},
 	}
-	if st.Source != nil {
-		cs = append(cs, Counter{"period_floor", st.Source.Floor()})
+	if res.Probe.Floor > 0 {
+		cs = append(cs, Counter{"period_floor", res.Probe.Floor})
 	}
-	mem := res.ProbeMem
-	return append(cs,
-		Counter{"rowcache_rows", float64(mem.CachedRows)},
-		Counter{"rowcache_pairs", float64(mem.CachedPairs)},
-		Counter{"rowcache_evictions", float64(mem.Evictions)},
-		Counter{"sweeps", float64(mem.Sweeps)},
-		Counter{"sweeps_abandoned", float64(mem.Abandoned)},
-	)
+	return cs
 }
 
 // constraintsStage generates the clock/edge/pin constraint system at Tclk
 // (built once, per the paper's §4.2), pre-checks feasibility, and
-// assembles the LAC problem with per-tile free capacities.
+// assembles the LAC problem with per-tile free capacities. The constraint
+// source it generates through is floored at Tclk and local to the stage:
+// nothing later reads its rows.
 type constraintsStage struct{}
 
 func (constraintsStage) Name() string { return stageConstraints }
 
 func (constraintsStage) Run(ctx context.Context, st *PlanState, cfg *Config) error {
 	rg, res := st.Result.Graph, st.Result
-	cs, err := rg.BuildConstraints(res.Tclk, st.Source)
-	// Constraint generation pulls rows from the same source the search
-	// used, so refresh its accounting: after a budget-truncated search
-	// this is where the source does most of its sweeping.
-	res.ProbeMem = st.Source.Mem()
+	src := retime.NewLazySource(rg, res.Tclk, 0)
+	cs, err := rg.BuildConstraints(res.Tclk, src)
+	res.ProbeMem = src.Mem()
 	emitSourceGauges(obs.FromContext(ctx).Registry(), res.ProbeMem)
 	if err != nil {
 		return ErrTclkInfeasible{Tclk: res.Tclk, Tmin: res.Tmin}
@@ -154,7 +127,15 @@ func (constraintsStage) Counters(st *PlanState) []Counter {
 	if st.Constraints != nil {
 		n = len(st.Constraints.Cons)
 	}
-	return []Counter{{"constraints", float64(n)}}
+	mem := st.Result.ProbeMem
+	return []Counter{
+		{"constraints", float64(n)},
+		{"rowcache_rows", float64(mem.CachedRows)},
+		{"rowcache_pairs", float64(mem.CachedPairs)},
+		{"rowcache_evictions", float64(mem.Evictions)},
+		{"sweeps", float64(mem.Sweeps)},
+		{"sweeps_abandoned", float64(mem.Abandoned)},
+	}
 }
 
 // minAreaStage runs the plain minimum-area retiming baseline (one

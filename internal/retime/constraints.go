@@ -3,7 +3,10 @@ package retime
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"lacret/internal/graph"
 )
@@ -114,6 +117,10 @@ func (rg *Graph) PinConstraints() []Constraint {
 // activation filter. T must be above the source's floor (rows do not
 // cover lower periods).
 //
+// Rows are independent, so they are read across GOMAXPROCS workers (Row
+// is concurrency-safe by contract) and assembled in u order before the
+// final sort; the system does not depend on the worker count.
+//
 // An error is returned if some single vertex delay already exceeds T (no
 // retiming can fix that).
 func (rg *Graph) ClockConstraints(T float64, src ConstraintSource) ([]Constraint, error) {
@@ -133,8 +140,9 @@ func (rg *Graph) ClockConstraints(T float64, src ConstraintSource) ([]Constraint
 	if fT < activation(src.Floor()) {
 		return nil, fmt.Errorf("retime: period %g below constraint source floor %g", T, src.Floor())
 	}
-	var cons []Constraint
-	for u := 0; u < n; u++ {
+	rows := make([][]Constraint, n)
+	forEachRow(n, func(u int) {
+		var row []Constraint
 		for _, p := range src.Row(u) {
 			if p.D <= fT {
 				break // rows are D-descending: nothing further activates
@@ -144,11 +152,56 @@ func (rg *Graph) ClockConstraints(T float64, src ConstraintSource) ([]Constraint
 				// predecessor means this constraint is implied.
 				continue
 			}
-			cons = append(cons, Constraint{U: u, V: int(p.V), Bound: int(p.Bound)})
+			row = append(row, Constraint{U: u, V: int(p.V), Bound: int(p.Bound)})
 		}
+		rows[u] = row
+	})
+	total := 0
+	for _, row := range rows {
+		total += len(row)
+	}
+	cons := make([]Constraint, 0, total)
+	for _, row := range rows {
+		cons = append(cons, row...)
 	}
 	sortConstraints(cons)
 	return cons, nil
+}
+
+// rowParallelThreshold is the vertex count below which forEachRow runs on
+// the calling goroutine (goroutine fan-out costs more than it saves on
+// tiny graphs).
+const rowParallelThreshold = 64
+
+// forEachRow calls f for every u in [0, n), fanning out across GOMAXPROCS
+// workers that claim rows one at a time.
+func forEachRow(n int, f func(u int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
+	}
+	if n < rowParallelThreshold || workers <= 1 {
+		for u := 0; u < n; u++ {
+			f(u)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				u := int(next.Add(1)) - 1
+				if u >= n {
+					return
+				}
+				f(u)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // BuildConstraints assembles the full constraint system (edge weight, clock
@@ -158,8 +211,8 @@ func (rg *Graph) ClockConstraints(T float64, src ConstraintSource) ([]Constraint
 // one-shot LazySource floored at T itself, so every T that passes the
 // vertex-delay check — including one within the comparison tolerance
 // below the maximum vertex delay — is above the floor. Callers that
-// generate constraints repeatedly (or after a period search) pass one
-// shared source so its row cache amortizes.
+// want the source's accounting (the planner's constraints stage) pass
+// their own source floored at T.
 func (rg *Graph) BuildConstraints(T float64, src ConstraintSource) (*Constraints, error) {
 	if math.IsNaN(T) || T <= 0 {
 		return nil, fmt.Errorf("retime: invalid target period %g", T)

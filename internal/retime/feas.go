@@ -1,20 +1,15 @@
 package retime
 
 import (
-	"context"
-	"fmt"
 	"math"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"lacret/internal/graph"
 )
 
 // ProbeStats aggregates the work of a feasibility-probe sequence — the
 // per-search counters surfaced by the observed period search
-// (retime.feas_warm, retime.pairs_scanned) and the planning trace.
+// (retime.feas_warm, retime.pairs_scanned, retime.cuts) and the planning
+// trace.
 type ProbeStats struct {
 	// Probes is the number of Probe calls answered.
 	Probes int
@@ -31,90 +26,93 @@ type ProbeStats struct {
 	// restart from the all-zero labeling (never happens in a binary
 	// search, whose feasible probes descend monotonically).
 	Resets int
-	// IndexPairs is the size of the D-sorted candidate pair index — the
-	// clock-constraint universe the whole search can ever touch above the
-	// floor, after dominance pruning.
+	// Floor is the period floor the solver rejected below
+	// (Graph.PeriodFloor of its graph).
+	Floor float64
+	// IndexPairs is always 0. It sized the all-pairs candidate index the
+	// solver kept before the cut pool replaced it, and stays only so
+	// existing readers of the counters keep compiling.
 	IndexPairs int64
-	// PairsScanned counts candidate pairs whose activation status was
-	// examined across all probes. The cold search rescans all O(V²)
-	// pairs per probe; the incremental one touches only the pairs whose
-	// activation changed since the previous feasible labeling.
+	// PairsScanned counts pool arcs whose activation status was examined
+	// when seeding a probe: the arcs that activated between the previous
+	// feasible threshold and the probed one.
 	PairsScanned int64
-	// PairsActivated counts pairs materialized into the live constraint
-	// pool (each pair is materialized at most once per solver).
-	PairsActivated int64
+	// Cuts counts the path cuts added to the pool (each one a constraint
+	// the timing pass found violated).
+	Cuts int64
+	// CutRounds counts timing passes over the retimed graph: one per
+	// converged solve of the pool, the last of a feasible probe included.
+	CutRounds int
 	// Relaxations counts successful label relaxations across all probes.
 	Relaxations int64
-}
-
-// indexPair is one candidate clock pair in the solver's activation index:
-// the destination v, the constraint bound W(u,v)−1, and the activation key
-// D(u,v). It is SourcePair minus the DPrune field — always-dominated pairs
-// are already absent from source rows, and the solver keeps (soundly
-// redundant) partially-dominated pairs active, so DPrune is dead weight
-// here. At planned-s5378 scale the index holds ~750M pairs, so the 8 bytes
-// per pair are a third of the solver's resident footprint.
-type indexPair struct {
-	v     int32
-	bound int32
-	d     float64
 }
 
 // feasArc is one live difference constraint r(u) − r(v) ≤ bound, stored on
 // the adjacency list of v (relaxation rescans it when the label of v
 // drops). d is the activation key: the constraint participates in a probe
 // at period T iff d > T + periodTol(T); edge and pin constraints carry
-// d = +Inf (always active).
+// d = +Inf (always active), a path cut the delay of its path.
 type feasArc struct {
 	u     int32
 	bound int32
 	d     float64
 }
 
+// pendingCut is a path cut found by a timing pass, inserted into the pool
+// once the pass has found all of its round's cuts.
+type pendingCut struct {
+	u, v  int32
+	bound int32
+	d     float64
+}
+
 // FeasSolver is a persistent feasibility-probe solver for the minimum-period
-// binary search. It replaces the per-probe "rebuild all constraints, run
-// cold Bellman–Ford" cycle with three incremental structures:
+// binary search. It answers a probe at period T without the O(V²) clock
+// constraint system, generating only the constraints the probe needs
+// (in the spirit of Shenoy–Rudell):
 //
-//   - A candidate pair index built once from a ConstraintSource (the
-//     lazy sweep engine): per source row u, the
-//     destinations v whose clock constraint can ever activate (D(u,v)
-//     above the period floor), sorted by D descending, with the dominance
-//     rule of ClockConstraints folded in as an interval condition
-//     (a pair dominated at every period where it is active is dropped).
-//   - Lazy constraint materialization: a probe at period T materializes
-//     only the index pairs whose activation threshold first crosses T,
-//     appending them to per-vertex adjacency lists; each pair is
-//     materialized at most once per solver lifetime.
+//   - A cut pool: per-vertex constraint lists sorted by activation key,
+//     seeded with the edge and pin constraints. By Leiserson–Saxe a
+//     labeling meets T exactly when the retimed graph has no
+//     register-free path longer than T, so after each solve of the pool
+//     one timing pass over the retimed graph finds the violated paths.
+//     For each vertex v where a critical path first crosses the
+//     threshold, the nearest u behind it whose path to v is too long
+//     yields the cut r(u) − r(v) ≤ w(p) − 1, keyed by the path's delay.
+//     The pool is re-solved until timing passes (feasible) or it holds a
+//     negative cycle (infeasible). Cuts persist across probes: a key is
+//     a period threshold like the D(u,v) of the full system, so a cut
+//     serves every lower probe too.
 //   - FEAS-style warm relaxation: the labeling of the last feasible probe
 //     is kept, and a probe at a lower T relaxes only from the frontier of
-//     newly activated violated constraints (SPFA worklist) instead of
+//     newly active violated constraints (SPFA worklist) instead of
 //     sweeping all vertices; an infeasible probe restores the labeling and
-//     records the negative cycle's witness — the smallest D on the cycle —
-//     so every later probe below that witness is rejected in O(1).
+//     records the negative cycle's witness — the smallest key on the
+//     cycle — so every later probe below that witness is rejected in O(1).
 //   - A period floor (Graph.PeriodFloor): the iteration bound less a
-//     tolerance margin. Probes below it are rejected in O(1), and the
-//     index holds no pair that only activates there.
+//     tolerance margin. Probes below it are rejected in O(1).
 //
 // The verdicts and labelings are exactly those of the cold path
-// (BuildConstraints + Feasible): the warm relaxation converges to the
-// same component-wise maximum solution, so a search driven by this solver
-// is bit-identical to one driven by cold probes.
+// (BuildConstraints + Feasible): every cut is implied by the full system
+// at the probed period, so the pool's maximum solution ≤ 0 is at least the
+// full system's; when it passes timing it satisfies the full system, so
+// the two are equal. A search driven by this solver is bit-identical to
+// one driven by cold probes.
 //
 // A solver serves one goroutine at a time.
 type FeasSolver struct {
 	rg    *Graph
-	src   ConstraintSource
 	floor float64
 
-	// Candidate clock-pair index, per source row u, D descending.
-	rows    [][]indexPair
-	rowNext []int32
+	// The graph's edges in CSR form for the timing pass: the out-edges of
+	// v are outTo/outW[outStart[v]:outStart[v+1]], self-loops dropped.
+	outStart []int32
+	outTo    []int32
+	outW     []int32
 
-	// Live constraint pool: arcs[v] sorted by d descending (edge/pin base
-	// arcs first at d=+Inf). matFloor is the activation watermark: every
-	// index pair with D > matFloor has been materialized.
-	arcs     [][]feasArc
-	matFloor float64
+	// Constraint pool: arcs[v] sorted by d descending (edge/pin base arcs
+	// first at d=+Inf, then the cuts).
+	arcs [][]feasArc
 
 	// Warm state: x is the maximum solution ≤ 0 of the system active at
 	// threshold fCur (+Inf before the first feasible probe: only the base
@@ -129,7 +127,7 @@ type FeasSolver struct {
 	// is infeasible without a solve.
 	witnessMinD float64
 
-	// Scratch.
+	// Relaxation scratch.
 	wl          *graph.Worklist
 	parent      []int32
 	parentD     []float64
@@ -138,10 +136,16 @@ type FeasSolver struct {
 	prefixLen   []int32
 	prefixEpoch []int32
 	epoch       int32
-	touched     []int32
-	touchStamp  []int32
-	touchLen    []int32
-	matEpoch    int32
+
+	// Timing-pass scratch: register-free in-degree, topological queue,
+	// arrival times, critical register-free predecessor (-1 at a path
+	// start), the walked-back path, and the round's cuts.
+	indeg   []int32
+	order   []int32
+	arr     []float64
+	crit    []int32
+	path    []int32
+	pending []pendingCut
 
 	stats ProbeStats
 }
@@ -169,32 +173,17 @@ func periodTol(T float64) float64 {
 // strictly increasing in T, so lower periods activate supersets.
 func activation(T float64) float64 { return T + periodTol(T) }
 
-// NewFeasSolver builds a persistent probe solver over a ConstraintSource,
-// floored at the graph's PeriodFloor: no period below it is achievable,
-// so probes there are rejected in O(1) and pairs whose constraint can only
-// activate below it are excluded from the index. The source's own floor
-// must not exceed the period floor (its rows must cover every period the
-// solver solves).
-//
-// Building the candidate index is the construction cost — with a lazy
-// source it runs one W/D sweep per live vertex — so the build observes ctx
-// and aborts with its error on expiry. Callers running anytime searches
-// treat that abort like a deadline between probes (see MinPeriod).
-func NewFeasSolver(ctx context.Context, rg *Graph, src ConstraintSource) (*FeasSolver, error) {
+// NewFeasSolver builds a persistent probe solver, floored at the graph's
+// PeriodFloor: no period below it is achievable, so probes there are
+// rejected in O(1). Construction is O(V + E) plus the iteration bound; the
+// pool starts from the edge and pin constraints alone.
+func NewFeasSolver(rg *Graph) *FeasSolver {
 	n := rg.N()
-	if src.N() != n {
-		return nil, fmt.Errorf("retime: constraint source for %d vertices, graph has %d", src.N(), n)
-	}
-	floor := rg.PeriodFloor()
-	if src.Floor() > floor {
-		return nil, fmt.Errorf("retime: constraint source floor %g above period floor %g", src.Floor(), floor)
-	}
 	fs := &FeasSolver{
 		rg:          rg,
-		src:         src,
-		floor:       floor,
+		floor:       rg.PeriodFloor(),
+		outStart:    make([]int32, n+1),
 		arcs:        make([][]feasArc, n),
-		matFloor:    math.Inf(1),
 		x:           make([]int, n),
 		xSnap:       make([]int, n),
 		fCur:        math.Inf(1),
@@ -206,140 +195,34 @@ func NewFeasSolver(ctx context.Context, rg *Graph, src ConstraintSource) (*FeasS
 		plen:        make([]int32, n),
 		prefixLen:   make([]int32, n),
 		prefixEpoch: make([]int32, n),
-		touchStamp:  make([]int32, n),
-		touchLen:    make([]int32, n),
+		indeg:       make([]int32, n),
+		order:       make([]int32, 0, n),
+		arr:         make([]float64, n),
+		crit:        make([]int32, n),
+	}
+	fs.stats.Floor = fs.floor
+	for v := 0; v < n; v++ {
+		for _, ei := range rg.g.Out(v) {
+			if e := rg.g.Edge(ei); e.To != v {
+				fs.outTo = append(fs.outTo, int32(e.To))
+				fs.outW = append(fs.outW, int32(e.W))
+			}
+		}
+		fs.outStart[v+1] = int32(len(fs.outTo))
 	}
 	// Base arcs: the T-independent edge-weight and pinning constraints,
-	// always active (d = +Inf), installed ahead of every clock arc.
+	// always active (d = +Inf), installed ahead of every cut.
 	for _, c := range rg.EdgeConstraints() {
 		fs.arcs[c.V] = append(fs.arcs[c.V], feasArc{u: int32(c.U), bound: int32(c.Bound), d: math.Inf(1)})
 	}
 	for _, c := range rg.PinConstraints() {
 		fs.arcs[c.V] = append(fs.arcs[c.V], feasArc{u: int32(c.U), bound: int32(c.Bound), d: math.Inf(1)})
 	}
-	if err := fs.buildIndex(ctx); err != nil {
-		return nil, err
-	}
-	return fs, nil
-}
-
-// indexParallelThreshold is the vertex count below which the index build
-// runs on the calling goroutine (goroutine fan-out costs more than it saves
-// on tiny graphs).
-const indexParallelThreshold = 64
-
-// buildIndex fills the per-row candidate pair index from the constraint
-// source. A pair (u,v) is a candidate iff its clock constraint can
-// activate at some period at or above the floor (D(u,v) >
-// activation(floor)) and is not dominated throughout its activation
-// range — exactly the rows the source serves at its own floor, narrowed
-// to the solver's floor when the two differ (rows are D-descending, so
-// the narrowing is a prefix). Rows are independent, so the build fans
-// out across workers; Row is concurrency-safe by contract.
-func (fs *FeasSolver) buildIndex(ctx context.Context) error {
-	n := fs.rg.N()
-	fs.rows = make([][]indexPair, n)
-	fs.rowNext = make([]int32, n)
-	cut := activation(fs.floor)
-	var total atomic.Int64
-	buildRow := func(u int) {
-		row := fs.src.Row(u)
-		row = row[:rowPrefixAbove(row, cut)]
-		// Pack into 16-byte index pairs instead of subslicing: drops the
-		// DPrune field the solver never reads, and never pins the source's
-		// wider backing array.
-		packed := make([]indexPair, len(row))
-		for i, p := range row {
-			packed[i] = indexPair{v: p.V, bound: p.Bound, d: p.D}
-		}
-		fs.rows[u] = packed
-		total.Add(int64(len(packed)))
-	}
-	// The build dominates construction cost with a lazy source (one sweep
-	// per live row), so poll the context between row batches; an aborted
-	// build discards the partial index with the returned error.
-	const ctxEvery = 64
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if n < indexParallelThreshold || workers <= 1 {
-		for u := 0; u < n; u++ {
-			if u%ctxEvery == 0 && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			buildRow(u)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for done := 0; ; done++ {
-					if done%ctxEvery == 0 && ctx.Err() != nil {
-						return
-					}
-					u := int(next.Add(1)) - 1
-					if u >= n {
-						return
-					}
-					buildRow(u)
-				}
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	fs.stats.IndexPairs = total.Load()
-	return nil
+	return fs
 }
 
 // Stats returns the accumulated probe counters.
 func (fs *FeasSolver) Stats() ProbeStats { return fs.stats }
-
-// materialize appends every not-yet-live index pair with D > fT to the
-// adjacency lists. Appended suffixes are re-sorted so each list stays in
-// descending-d order (existing entries all have d above the previous
-// watermark, new ones at or below it).
-func (fs *FeasSolver) materialize(fT float64) {
-	if fT >= fs.matFloor {
-		return
-	}
-	fs.matEpoch++
-	fs.touched = fs.touched[:0]
-	for u := range fs.rows {
-		row := fs.rows[u]
-		j := int(fs.rowNext[u])
-		if j >= len(row) || row[j].d <= fT {
-			continue
-		}
-		for ; j < len(row) && row[j].d > fT; j++ {
-			v := row[j].v
-			if fs.touchStamp[v] != fs.matEpoch {
-				fs.touchStamp[v] = fs.matEpoch
-				fs.touchLen[v] = int32(len(fs.arcs[v]))
-				fs.touched = append(fs.touched, v)
-			}
-			fs.arcs[v] = append(fs.arcs[v], feasArc{u: int32(u), bound: row[j].bound, d: row[j].d})
-			fs.stats.PairsActivated++
-		}
-		fs.rowNext[u] = int32(j)
-	}
-	for _, v := range fs.touched {
-		suffix := fs.arcs[v][fs.touchLen[v]:]
-		sort.Slice(suffix, func(i, j int) bool {
-			if suffix[i].d != suffix[j].d {
-				return suffix[i].d > suffix[j].d
-			}
-			return suffix[i].u < suffix[j].u
-		})
-	}
-	fs.matFloor = fT
-}
 
 // arcPrefix returns the number of leading arcs of list a active at
 // threshold fT (lists are d-descending, so the active set is a prefix).
@@ -407,7 +290,6 @@ func (fs *FeasSolver) Probe(T float64) (r []int, feasible bool) {
 	} else if !math.IsInf(fs.fCur, 1) {
 		fs.stats.Warm++
 	}
-	fs.materialize(fT)
 	n := fs.rg.N()
 	fs.epoch++
 	fs.wl.Reset()
@@ -416,33 +298,63 @@ func (fs *FeasSolver) Probe(T float64) (r []int, feasible bool) {
 		fs.parent[i] = -1
 		fs.plen[i] = 0
 	}
-	relax := func(v int, a feasArc) {
-		fs.x[a.u] = fs.x[v] + int(a.bound)
-		fs.parent[a.u] = int32(v)
-		fs.parentD[a.u] = a.d
-		fs.parentB[a.u] = a.bound
-		fs.stats.Relaxations++
-		fs.wl.Push(int(a.u))
-	}
 	// Seed: scan the constraints whose activation status changed between
 	// the warm threshold and this probe — indices in (prefix(fCur),
 	// prefix(fT)) of each list — and relax the violated ones. The warm
-	// labeling already satisfies everything active at fCur.
+	// labeling already satisfies everything active at fCur: it passed
+	// timing there, so no register-free path, and hence no cut path,
+	// keyed above fCur survives in its retimed graph. That includes the
+	// cuts an infeasible probe added after it was taken.
 	for v := 0; v < n; v++ {
 		a := fs.arcs[v]
 		lo := arcPrefix(a, fs.fCur)
 		hi := fs.activeLen(v, fT)
 		fs.stats.PairsScanned += int64(hi - lo)
 		for i := lo; i < hi; i++ {
-			if nd := fs.x[v] + int(a[i].bound); nd < fs.x[a[i].u] {
-				relax(v, a[i])
-				fs.plen[a[i].u] = fs.plen[v] + 1
-			}
+			fs.relaxArc(v, a[i])
 		}
 	}
-	// SPFA from the violated frontier, with early negative-cycle
-	// detection: a periodic parent-forest walk plus a relaxation-walk
-	// length bound (see graph.SolveDifferenceIntSPFA for the scheme).
+	for {
+		if !fs.solve(fT) {
+			copy(fs.x, fs.xSnap)
+			return nil, false
+		}
+		fs.stats.CutRounds++
+		if !fs.cut(fT) {
+			break
+		}
+	}
+	fs.fCur = fT
+	out := make([]int, n)
+	copy(out, fs.x)
+	normalize(fs.rg, out)
+	return out, true
+}
+
+// relaxArc relaxes the constraint a on v's list if the labeling violates
+// it, queueing its tail u, and reports whether it did.
+func (fs *FeasSolver) relaxArc(v int, a feasArc) bool {
+	nd := fs.x[v] + int(a.bound)
+	if nd >= fs.x[a.u] {
+		return false
+	}
+	fs.x[a.u] = nd
+	fs.parent[a.u] = int32(v)
+	fs.parentD[a.u] = a.d
+	fs.parentB[a.u] = a.bound
+	fs.plen[a.u] = fs.plen[v] + 1
+	fs.stats.Relaxations++
+	fs.wl.Push(int(a.u))
+	return true
+}
+
+// solve runs SPFA from the queued frontier over the constraints active at
+// fT until the labeling satisfies all of them (true) or a negative cycle
+// shows (false, witness recorded). Cycles are detected early by a
+// periodic parent-forest walk plus a relaxation-walk length bound (see
+// graph.SolveDifferenceIntSPFA for the scheme).
+func (fs *FeasSolver) solve(fT float64) bool {
+	n := fs.rg.N()
 	checkEvery := n
 	if checkEvery < 64 {
 		checkEvery = 64
@@ -451,40 +363,150 @@ func (fs *FeasSolver) Probe(T float64) (r []int, feasible bool) {
 	for {
 		v, ok := fs.wl.Pop()
 		if !ok {
-			break
+			return true
 		}
 		a := fs.arcs[v]
 		pl := fs.activeLen(v, fT)
-		xv, pv := fs.x[v], fs.plen[v]
 		for i := 0; i < pl; i++ {
-			if nd := xv + int(a[i].bound); nd < fs.x[a[i].u] {
-				relax(v, a[i])
-				sinceCheck++
-				if fs.plen[a[i].u] = pv + 1; fs.plen[a[i].u] > int32(n) {
-					if cyc := graph.FindParentCycle(fs.parent); cyc != nil {
-						fs.recordWitness(cyc)
-						copy(fs.x, fs.xSnap)
-						return nil, false
-					}
-					fs.plen[a[i].u] = forestDepth(fs.parent, a[i].u)
-					sinceCheck = 0
+			if !fs.relaxArc(v, a[i]) {
+				continue
+			}
+			sinceCheck++
+			if u := a[i].u; fs.plen[u] > int32(n) {
+				if cyc := graph.FindParentCycle(fs.parent); cyc != nil {
+					fs.recordWitness(cyc)
+					return false
 				}
+				fs.plen[u] = forestDepth(fs.parent, u)
+				sinceCheck = 0
 			}
 		}
 		if sinceCheck >= checkEvery {
 			sinceCheck = 0
 			if cyc := graph.FindParentCycle(fs.parent); cyc != nil {
 				fs.recordWitness(cyc)
-				copy(fs.x, fs.xSnap)
-				return nil, false
+				return false
 			}
 		}
 	}
-	fs.fCur = fT
-	out := make([]int, n)
-	copy(out, fs.x)
-	normalize(fs.rg, out)
-	return out, true
+}
+
+// cut runs one timing pass over the graph retimed by the current labeling
+// and adds a path cut for every vertex where a critical register-free path
+// first crosses the threshold fT, relaxing the labeling against each. It
+// reports whether any cut was added; false means the labeling meets the
+// probed period.
+func (fs *FeasSolver) cut(fT float64) bool {
+	fs.time()
+	delay, crit, arr := fs.rg.delay, fs.crit, fs.arr
+	fs.pending = fs.pending[:0]
+	for _, v := range fs.order {
+		if arr[v] <= fT || (crit[v] >= 0 && arr[crit[v]] > fT) {
+			continue
+		}
+		// Walk back along the critical path to the nearest u whose path to
+		// v is longer than the threshold. The walk sums delays from v
+		// backwards; the key sums them in path order, as the timing pass
+		// does, and the walk goes on while rounding keeps that key at or
+		// below the threshold. At the path's start the key is arr[v]
+		// itself, so the walk always ends with a key above it.
+		fs.path = append(fs.path[:0], v)
+		u, back := v, delay[v]
+		for back <= fT && crit[u] >= 0 {
+			u = crit[u]
+			back += delay[u]
+			fs.path = append(fs.path, u)
+		}
+		for {
+			key := 0.0
+			for i := len(fs.path) - 1; i >= 0; i-- {
+				key += delay[fs.path[i]]
+			}
+			if key > fT || crit[u] < 0 {
+				// The path u→v is register-free, so its original register
+				// count is x(u) − x(v).
+				fs.pending = append(fs.pending, pendingCut{u: u, v: v, bound: int32(fs.x[u] - fs.x[v] - 1), d: key})
+				break
+			}
+			u = crit[u]
+			fs.path = append(fs.path, u)
+		}
+	}
+	for _, c := range fs.pending {
+		fs.insert(int(c.v), feasArc{u: c.u, bound: c.bound, d: c.d})
+	}
+	fs.stats.Cuts += int64(len(fs.pending))
+	return len(fs.pending) > 0
+}
+
+// insert adds a cut to v's pool list at its key's position and relaxes
+// against it. The cut's key lies above the probe's threshold, so it joins
+// v's active prefix.
+func (fs *FeasSolver) insert(v int, c feasArc) {
+	a := fs.arcs[v]
+	i := arcPrefix(a, c.d)
+	a = append(a, feasArc{})
+	copy(a[i+1:], a[i:])
+	a[i] = c
+	fs.arcs[v] = a
+	if fs.prefixEpoch[v] == fs.epoch {
+		fs.prefixLen[v]++
+	}
+	fs.relaxArc(v, c)
+}
+
+// time computes arrival times over the graph retimed by the current
+// labeling (Kahn's algorithm over its register-free edges), filling order
+// with a topological order, arr with arrivals — each vertex's delay plus
+// the latest arrival among its register-free predecessors, summed as
+// Graph.Arrivals sums it — and crit with the predecessor that arrival came
+// from (-1 when none arrives later than 0).
+func (fs *FeasSolver) time() {
+	x, indeg, crit, arr := fs.x, fs.indeg, fs.crit, fs.arr
+	n := len(x)
+	for v := 0; v < n; v++ {
+		indeg[v] = 0
+		crit[v] = -1
+		arr[v] = 0
+	}
+	for v := 0; v < n; v++ {
+		for k := fs.outStart[v]; k < fs.outStart[v+1]; k++ {
+			if t := fs.outTo[k]; int(fs.outW[k])+x[t]-x[v] == 0 {
+				indeg[t]++
+			}
+		}
+	}
+	fs.order = fs.order[:0]
+	for v := 0; v < n; v++ {
+		if indeg[v] == 0 {
+			fs.order = append(fs.order, int32(v))
+		}
+	}
+	// arr[v] holds the latest predecessor arrival until v is dequeued, then
+	// v's own arrival.
+	for head := 0; head < len(fs.order); head++ {
+		v := fs.order[head]
+		arr[v] += fs.rg.delay[v]
+		for k := fs.outStart[v]; k < fs.outStart[v+1]; k++ {
+			t := fs.outTo[k]
+			if int(fs.outW[k])+x[t]-x[v] != 0 {
+				continue
+			}
+			if arr[v] > arr[t] {
+				arr[t] = arr[v]
+				crit[t] = v
+			}
+			if indeg[t]--; indeg[t] == 0 {
+				fs.order = append(fs.order, t)
+			}
+		}
+	}
+	if len(fs.order) != n {
+		// The labeling satisfies every edge constraint, and retiming keeps
+		// each cycle's register count, so a register-free cycle here
+		// would be one in the validated graph.
+		panic("retime: register-free cycle in a retimed graph (internal error)")
+	}
 }
 
 // recordWitness extracts the period-rejection witness of a violated

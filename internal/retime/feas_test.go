@@ -121,19 +121,16 @@ func labelsEqual(a, b []int) bool {
 	return true
 }
 
-// checkProbeSequence drives one FeasSolver over a lazy source through the
-// given periods, followed by periods spread over [MaxDelay, PeriodFloor)
-// (the band the floor rejects but the bisection's bracket still covers),
-// and asserts verdict and labeling agree exactly with the cold oracle at
-// every step — in particular, the cold oracle is infeasible at every
-// probe the solver bound-rejects. It returns the solver's counters.
+// checkProbeSequence drives one FeasSolver through the given periods,
+// followed by periods spread over [MaxDelay, PeriodFloor) (the band the
+// floor rejects but the bisection's bracket still covers), and asserts
+// verdict and labeling agree exactly with the cold oracle at every step —
+// in particular, the cold oracle is infeasible at every probe the solver
+// bound-rejects. It returns the solver's counters.
 func checkProbeSequence(t *testing.T, rg *Graph, probes []float64) ProbeStats {
 	t.Helper()
 	wd := oracleWD(rg)
-	fs, err := NewFeasSolver(context.Background(), rg, NewLazySource(rg, 0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := NewFeasSolver(rg)
 	lo, floor := rg.MaxDelay(), rg.PeriodFloor()
 	for k := 0; k < 5; k++ {
 		probes = append(probes, lo+(floor-lo)*float64(k)/5)
@@ -211,7 +208,7 @@ func TestMinPeriodMatchesColdSearch(t *testing.T) {
 	check := func(t *testing.T, rg *Graph) {
 		t.Helper()
 		wantT, wantR, _, wantErr := coldMinPeriodWD(rg, 1e-3, oracleWD(rg))
-		gotT, gotR, _, err := rg.MinPeriod(context.Background(), nil, 1e-3)
+		gotT, gotR, _, err := rg.MinPeriod(context.Background(), 1e-3)
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("err=%v cold err=%v", err, wantErr)
 		}
@@ -246,7 +243,7 @@ func TestMinPeriodProbesMatchColdSearch(t *testing.T) {
 	check := func(t *testing.T, rg *Graph) {
 		t.Helper()
 		_, _, want, wantErr := coldMinPeriodWD(rg, 1e-3, oracleWD(rg))
-		_, _, stats, err := rg.MinPeriod(context.Background(), nil, 1e-3)
+		_, _, stats, err := rg.MinPeriod(context.Background(), 1e-3)
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("err=%v cold err=%v", err, wantErr)
 		}
@@ -268,10 +265,11 @@ func TestMinPeriodProbesMatchColdSearch(t *testing.T) {
 }
 
 // TestFeasSolverWarmStats: the descending probe sequence of a real search
-// reports warm probes (regression guard on the counter plumbing).
+// reports warm probes and cut work (regression guard on the counter
+// plumbing): every probe that solved ran at least one timing pass.
 func TestFeasSolverWarmStats(t *testing.T) {
 	rg := bench89Graph(t, "s400")
-	_, _, stats, err := rg.MinPeriod(t.Context(), nil, 1e-3)
+	_, _, stats, err := rg.MinPeriod(t.Context(), 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,8 +282,9 @@ func TestFeasSolverWarmStats(t *testing.T) {
 	if stats.Resets != 0 {
 		t.Fatalf("monotone search should never reset: %+v", stats)
 	}
-	if stats.IndexPairs == 0 || stats.PairsActivated > stats.IndexPairs {
-		t.Fatalf("implausible index stats: %+v", stats)
+	solved := stats.Probes - stats.BoundRejects - stats.WitnessRejects
+	if stats.Cuts == 0 || stats.CutRounds < solved {
+		t.Fatalf("implausible cut stats (%d probes solved): %+v", solved, stats)
 	}
 }
 
@@ -304,7 +303,7 @@ func TestProbeApplyErrorPropagates(t *testing.T) {
 	// ring(3,1,3) retimes to period 1 = the search floor, so the very first
 	// probe is feasible and hits the injected failure.
 	rg := ring(3, 1, 3)
-	_, _, _, err := rg.MinPeriod(context.Background(), nil, 1e-3)
+	_, _, _, err := rg.MinPeriod(context.Background(), 1e-3)
 	if err == nil {
 		t.Fatal("injected Apply failure was swallowed")
 	}
@@ -374,7 +373,7 @@ func TestFeasibleInfeasibleSystem(t *testing.T) {
 // must not rebuild the solver-layout triple arrays.
 func TestFeasibleReusesArrays(t *testing.T) {
 	rg := bench89Graph(t, "s386")
-	T, _, _, err := rg.MinPeriod(context.Background(), nil, 1e-3)
+	T, _, _, err := rg.MinPeriod(context.Background(), 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +405,7 @@ func TestFeasibleReusesArrays(t *testing.T) {
 
 func BenchmarkFeasible(b *testing.B) {
 	rg := bench89Graph(b, "s953")
-	T, _, _, err := rg.MinPeriod(context.Background(), nil, 1e-3)
+	T, _, _, err := rg.MinPeriod(context.Background(), 1e-3)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -424,9 +423,9 @@ func BenchmarkFeasible(b *testing.B) {
 }
 
 // TestWarmProbeSmokeS953: the incremental search on s953 beats a cold
-// search probing the same periods. Both sides read prebuilt rows: the warm
-// search a lazy source whose cache the first run fills, the cold one the
-// W/D oracle. Wall-clock comparisons are noisy, so the test is opt-in
+// search probing the same periods. The cold side reads prebuilt W/D
+// oracle rows; the warm side builds its cut pool from scratch on every
+// run. Wall-clock comparisons are noisy, so the test is opt-in
 // (LACRET_SMOKE=1; CI runs it in the benchmark-smoke step).
 func TestWarmProbeSmokeS953(t *testing.T) {
 	if os.Getenv("LACRET_SMOKE") != "1" {
@@ -434,7 +433,6 @@ func TestWarmProbeSmokeS953(t *testing.T) {
 	}
 	rg := bench89Graph(t, "s953")
 	wd := oracleWD(rg)
-	src := NewLazySource(rg, rg.MaxDelay(), 0)
 	run := func(f func()) time.Duration {
 		best := time.Duration(math.MaxInt64)
 		for i := 0; i < 3; i++ {
@@ -448,7 +446,7 @@ func TestWarmProbeSmokeS953(t *testing.T) {
 	}
 	var warmT, coldT float64
 	warm := run(func() {
-		T, _, _, err := rg.MinPeriod(context.Background(), src, 1e-3)
+		T, _, _, err := rg.MinPeriod(context.Background(), 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}

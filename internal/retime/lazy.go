@@ -25,12 +25,10 @@ const DefaultLazyCachePairs = 4 << 20
 //     threshold, and skip delay propagation from vertices that can no
 //     longer matter;
 //   - sharding across GOMAXPROCS: sources hash to per-shard solvers with
-//     O(V) scratch each, so concurrent Row calls (the FeasSolver's index
-//     build fans out across workers) sweep in parallel without shared
-//     mutable state;
-//   - an LRU row cache per shard, bounded by a global pair budget, so the
-//     hot rows the period search and the later constraint generation at
-//     Tclk both touch are computed once.
+//     O(V) scratch each, so concurrent Row calls (ClockConstraints fans
+//     out across workers) sweep in parallel without shared mutable state;
+//   - an LRU row cache per shard, bounded by a global pair budget, so
+//     callers that read a row more than once sweep it once.
 //
 // Rows are bit-identical to rows assembled from the exact all-pairs W/D
 // matrices at the same floor: the sweep's D values above the cut are exact

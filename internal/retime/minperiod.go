@@ -49,33 +49,25 @@ var applyForProbe = (*Graph).Apply
 // realizable value rather than a midpoint.
 //
 // The bisection bracket is [maximum vertex delay, unretimed period]. The
-// search's floor is the graph's PeriodFloor — the iteration bound less a
-// tolerance margin, and never below the maximum vertex delay — under
-// which no period is achievable. src serves the clock-constraint rows;
-// its floor must not exceed PeriodFloor, and a nil src builds a one-shot
-// LazySource floored there. Callers that go on to generate constraints at
-// the chosen period pass their own source so both steps share its row
-// cache.
+// probes run on one FeasSolver: a probe below the graph's PeriodFloor —
+// the iteration bound less a tolerance margin, under which no period is
+// achievable — is infeasible in O(1) (ProbeStats.BoundRejects), and every
+// other probe warm-starts from the previous feasible labeling and adds
+// only the path cuts that timing the retimed graph shows it needs,
+// instead of rebuilding the full constraint system over all O(V²) pairs.
+// The floor only removes work: the bracket and its midpoints are those of
+// a search floored at the maximum vertex delay, and verdicts and
+// labelings are identical to the cold BuildConstraints+Feasible path.
 //
-// The probes run on one FeasSolver built at the period floor: a probe
-// below it is infeasible in O(1) (ProbeStats.BoundRejects), and every
-// other probe warm-starts from the previous feasible labeling and touches
-// only the clock pairs whose activation status changed, instead of
-// rebuilding the full constraint system and sweeping all O(V²) pairs. The
-// floor only removes work: the bracket and its midpoints are those of a
-// search floored at the maximum vertex delay, and verdicts and labelings
-// are identical to the cold BuildConstraints+Feasible path.
-//
-// Under a context the deadline is checked between probes (and during the
-// solver's index build); on expiry the search returns a typed
-// *ErrBudgetExceeded carrying the current bracket (an anytime result; see
-// MinPeriodPartial). An already-expired context yields a partial with zero
-// probes whose Hi is the unretimed period.
+// Under a context the deadline is checked between probes; on expiry the
+// search returns a typed *ErrBudgetExceeded carrying the current bracket
+// (an anytime result; see MinPeriodPartial). An already-expired context
+// yields a partial with zero probes whose Hi is the unretimed period.
 //
 // Internal failures while realizing a feasible labeling (Apply or Period
 // on the retimed graph) are returned as errors — never folded into an
 // "infeasible" verdict, which would corrupt the bracket invariant.
-func (rg *Graph) MinPeriod(ctx context.Context, src ConstraintSource, eps float64) (T float64, r []int, stats ProbeStats, err error) {
+func (rg *Graph) MinPeriod(ctx context.Context, eps float64) (T float64, r []int, stats ProbeStats, err error) {
 	if err := rg.Validate(); err != nil {
 		return 0, nil, stats, err
 	}
@@ -89,9 +81,6 @@ func (rg *Graph) MinPeriod(ctx context.Context, src ConstraintSource, eps float6
 	lo := rg.MaxDelay()
 	if hi < lo {
 		hi = lo
-	}
-	if src == nil {
-		src = NewLazySource(rg, rg.PeriodFloor(), 0)
 	}
 	// The zero labeling realizes hi. A successful probe at T realizes some
 	// period p <= T which becomes the new upper bound (an achievable value,
@@ -112,7 +101,7 @@ func (rg *Graph) MinPeriod(ctx context.Context, src ConstraintSource, eps float6
 	}
 	// Observability handles: all nil (and therefore free) unless the caller
 	// installed an obs recorder on the context. Each probe becomes one
-	// sub-stage span (period probed, feasibility, relaxations, warm/cold,
+	// sub-stage span (period probed, feasibility, relaxations, cuts, warm/cold,
 	// bracket after the probe); the live gauges track the shrinking bracket
 	// and the counters accumulate the incremental solver's probe work.
 	reg := obs.FromContext(ctx).Registry()
@@ -122,19 +111,9 @@ func (rg *Graph) MinPeriod(ctx context.Context, src ConstraintSource, eps float6
 	cPairs := reg.Counter("retime.pairs_scanned")
 	cWitness := reg.Counter("retime.witness_rejects")
 	cBound := reg.Counter("retime.bound_rejects")
+	cCuts := reg.Counter("retime.cuts")
 	hProbe := reg.Histogram("retime.probe_ms", obs.DurationBucketsMS)
-	// Solver construction builds the candidate index — with a lazy source
-	// that is the bulk of the search's sweep work, so it runs under the
-	// same deadline as the probes: an expiry mid-build degrades to the
-	// zero-probe partial (Hi = the unretimed period, realized by the zero
-	// labeling) instead of sweeping past the budget.
-	fs, err := NewFeasSolver(ctx, rg, src)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return 0, nil, stats, partial(cerr)
-		}
-		return 0, nil, stats, err
-	}
+	fs := NewFeasSolver(rg)
 	var prev ProbeStats
 	probe := func(T float64) (feasible bool, perr error) {
 		_, sp := obs.StartSpan(ctx, "probe")
@@ -148,6 +127,7 @@ func (rg *Graph) MinPeriod(ctx context.Context, src ConstraintSource, eps float6
 				sp.SetAttr("feasible", 0)
 			}
 			sp.SetAttr("relaxations", float64(st.Relaxations-prev.Relaxations))
+			sp.SetAttr("cuts", float64(st.Cuts-prev.Cuts))
 			if st.Warm > prev.Warm {
 				sp.SetAttr("warm", 1)
 			} else {
@@ -168,6 +148,7 @@ func (rg *Graph) MinPeriod(ctx context.Context, src ConstraintSource, eps float6
 			cPairs.Add(st.PairsScanned - prev.PairsScanned)
 			cWitness.Add(int64(st.WitnessRejects - prev.WitnessRejects))
 			cBound.Add(int64(st.BoundRejects - prev.BoundRejects))
+			cCuts.Add(st.Cuts - prev.Cuts)
 			prev = st
 			gHi.Set(bestT)
 		}()

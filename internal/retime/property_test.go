@@ -90,7 +90,7 @@ func TestQuickMinPeriodBounds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		T, r, _, err := rg.MinPeriod(context.Background(), nil, 1e-4)
+		T, r, _, err := rg.MinPeriod(context.Background(), 1e-4)
 		if err != nil {
 			return false
 		}

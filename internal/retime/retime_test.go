@@ -179,7 +179,7 @@ func TestMinPeriodRing(t *testing.T) {
 	}
 	for _, c := range cases {
 		rg := ring(3, 2, c.regs)
-		T, r, _, err := rg.MinPeriod(context.Background(), nil, 1e-6)
+		T, r, _, err := rg.MinPeriod(context.Background(), 1e-6)
 		if err != nil {
 			t.Fatalf("regs=%d: %v", c.regs, err)
 		}
@@ -200,7 +200,7 @@ func TestMinPeriodPipelineBalancing(t *testing.T) {
 	if p0 != 2 {
 		t.Fatalf("initial period %g", p0)
 	}
-	T, r, _, err := rg.MinPeriod(context.Background(), nil, 1e-6)
+	T, r, _, err := rg.MinPeriod(context.Background(), 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestMinPeriodCombinationalPathLimits(t *testing.T) {
 	// pi -> a(1) -> b(1) -> po with no registers anywhere: ports pinned, so
 	// no register can be inserted; min period stays 2.
 	rg := pipeline([]float64{1, 1}, []int{0, 0, 0})
-	T, _, _, err := rg.MinPeriod(context.Background(), nil, 1e-6)
+	T, _, _, err := rg.MinPeriod(context.Background(), 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +474,7 @@ func TestMinPeriodAgainstBruteForce(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		n := 3 + rng.Intn(3)
 		rg := randomGraph(rng, n, trial%2 == 1)
-		T, r, _, err := rg.MinPeriod(context.Background(), nil, 1e-6)
+		T, r, _, err := rg.MinPeriod(context.Background(), 1e-6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -708,7 +708,7 @@ func TestPinConstraintsCounts(t *testing.T) {
 func TestSetPinnedOverride(t *testing.T) {
 	rg := pipeline([]float64{1}, []int{1, 1})
 	rg.SetPinned(1, true) // pin the internal unit too
-	T, r, _, err := rg.MinPeriod(context.Background(), nil, 1e-4)
+	T, r, _, err := rg.MinPeriod(context.Background(), 1e-4)
 	if err != nil {
 		t.Fatal(err)
 	}

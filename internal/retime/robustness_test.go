@@ -49,8 +49,7 @@ func TestRetimeAtExactTmin(t *testing.T) {
 			if err := rg.Validate(); err != nil {
 				continue
 			}
-			src := NewLazySource(rg, rg.MaxDelay(), 0)
-			tmin, r, _, err := rg.MinPeriod(context.Background(), src, 1e-3*scale)
+			tmin, r, _, err := rg.MinPeriod(context.Background(), 1e-3*scale)
 			if err != nil {
 				t.Fatalf("scale %g trial %d: MinPeriod: %v", scale, trial, err)
 			}
@@ -58,8 +57,9 @@ func TestRetimeAtExactTmin(t *testing.T) {
 				t.Fatalf("scale %g trial %d: labeling from MinPeriod rejected: %v", scale, trial, err)
 			}
 			// The planner path regenerates constraints at exactly T = Tmin
-			// from the search's source; the one-shot path (nil source)
+			// from a source floored there; the one-shot path (nil source)
 			// must agree.
+			src := NewLazySource(rg, tmin, 0)
 			for _, s := range []ConstraintSource{src, nil} {
 				cs, err := rg.BuildConstraints(tmin, s)
 				if err != nil {

@@ -15,9 +15,9 @@ import (
 // source's cut, and −Inf otherwise (below the cut the exact value can never
 // matter: every probe-able period's activation threshold is at least the
 // cut, so the dominating pair is inactive there regardless). A consumer at
-// period T drops the pair as implied iff DPrune > activation(T); a consumer
-// covering every period at once (the FeasSolver index) never sees dominated-
-// wherever-active pairs at all, because rows exclude pairs with D ≤ DPrune.
+// period T drops the pair as implied iff DPrune > activation(T); pairs
+// dominated wherever they are active never appear at all, because rows
+// exclude pairs with D ≤ DPrune.
 type SourcePair struct {
 	V      int32
 	Bound  int32
@@ -48,11 +48,11 @@ type SourceMem struct {
 // ConstraintSource serves the W/D dependence of retiming row by row: for a
 // source vertex u, the register-minimal pairs whose clock constraint can
 // activate at some period above the source's floor, ready for constraint
-// generation (ClockConstraints) and for the FeasSolver's D-sorted
-// activation index. Its rows cover exactly the periods at or above
-// Floor(). The planner floors its source at Graph.PeriodFloor, below which
-// no period is achievable, so Tmin lies in [Floor(), unretimed period];
-// the period search rejects lower probes without reading a row.
+// generation (ClockConstraints). Its rows cover exactly the periods at or
+// above Floor(). The planner builds one per pass in its constraints
+// stage, floored at Tclk, the only period it generates constraints for;
+// the period search reads no rows (it cuts paths instead, see
+// FeasSolver).
 //
 // The production implementation is the lazy on-demand per-source sweep
 // engine (NewLazySource); the package tests check it against an all-pairs
@@ -110,8 +110,8 @@ func appendRowPair(rg *Graph, row []SourcePair, u, v int, wv int32, dv float64, 
 	return append(row, SourcePair{V: int32(v), Bound: wv - 1, D: dv, DPrune: dprune})
 }
 
-// sortRow orders a row by D descending, V ascending at ties — the
-// deterministic activation order the FeasSolver materializes in.
+// sortRow orders a row by D descending, V ascending at ties, so the
+// pairs active at any period form a prefix.
 func sortRow(row []SourcePair) {
 	sort.Slice(row, func(i, j int) bool {
 		if row[i].D != row[j].D {

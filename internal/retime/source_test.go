@@ -53,14 +53,14 @@ func TestDenseLazyRowsEqual(t *testing.T) {
 }
 
 // TestLazyConstraintsMatchDense: the full constraint system generated
-// through the lazy engine — the planner's shared source floored at the
-// maximum vertex delay, and the one-shot source of BuildConstraints(T,
-// nil) — equals the system built from the W/D oracle at every tested
-// period.
+// through the lazy engine — a shared source floored at the maximum vertex
+// delay, and the one-shot source of BuildConstraints(T, nil) — equals the
+// system built from the W/D oracle at every tested period. The collapsed
+// s386 graph is large enough for ClockConstraints to read its rows across
+// workers.
 func TestLazyConstraintsMatchDense(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		rg := randomGraph(rng, 5+rng.Intn(6), seed%2 == 1)
+	check := func(t *testing.T, what string, rg *Graph) {
+		t.Helper()
 		oracle := newOracleSource(rg, oracleWD(rg), 0)
 		floor := rg.MaxDelay()
 		lazy := NewLazySource(rg, floor, 0)
@@ -73,15 +73,20 @@ func TestLazyConstraintsMatchDense(t *testing.T) {
 			for _, src := range []ConstraintSource{lazy, nil} {
 				got, gerr := rg.BuildConstraints(T, src)
 				if (werr == nil) != (gerr == nil) {
-					t.Fatalf("seed %d T=%g: oracle err %v, lazy err %v", seed, T, werr, gerr)
+					t.Fatalf("%s T=%g: oracle err %v, lazy err %v", what, T, werr, gerr)
 				}
 				if werr != nil {
 					continue
 				}
-				constraintsEqual(t, fmt.Sprintf("seed %d T=%g", seed, T), want, got)
+				constraintsEqual(t, fmt.Sprintf("%s T=%g", what, T), want, got)
 			}
 		}
 	}
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		check(t, fmt.Sprintf("seed %d", seed), randomGraph(rng, 5+rng.Intn(6), seed%2 == 1))
+	}
+	check(t, "s386", bench89Graph(t, "s386"))
 }
 
 // constraintsEqual fails the test unless got is the same system as want,
@@ -123,53 +128,6 @@ func TestOneShotBuildConstraintsAtMaxDelay(t *testing.T) {
 			}
 			constraintsEqual(t, fmt.Sprintf("seed %d T=%.17g", seed, T), want, got)
 		}
-	}
-}
-
-// TestLazyMinPeriodMatchesDense: the whole search — Tmin and the realizing
-// labeling — is bit-identical between the lazy engine and the W/D oracle on
-// random graphs.
-func TestLazyMinPeriodMatchesDense(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		rg := randomGraph(rng, 4+rng.Intn(7), seed%3 == 0)
-		oracle := newOracleSource(rg, oracleWD(rg), 0)
-		wantT, wantR, _, err := rg.MinPeriod(context.Background(), oracle, 1e-3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotT, gotR, _, err := rg.MinPeriod(context.Background(), nil, 1e-3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotT != wantT {
-			t.Fatalf("seed %d: lazy Tmin %g != dense %g", seed, gotT, wantT)
-		}
-		if !labelsEqual(gotR, wantR) {
-			t.Fatalf("seed %d: lazy labeling %v != dense %v", seed, gotR, wantR)
-		}
-	}
-}
-
-// TestLazyMinPeriodMatchesDenseBench89 repeats the search equivalence on
-// realistic collapsed circuit structures.
-func TestLazyMinPeriodMatchesDenseBench89(t *testing.T) {
-	for _, name := range []string{"s386", "s400"} {
-		t.Run(name, func(t *testing.T) {
-			rg := bench89Graph(t, name)
-			oracle := newOracleSource(rg, oracleWD(rg), 0)
-			wantT, wantR, _, err := rg.MinPeriod(context.Background(), oracle, 1e-3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotT, gotR, _, err := rg.MinPeriod(context.Background(), nil, 1e-3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotT != wantT || !labelsEqual(gotR, wantR) {
-				t.Fatalf("lazy (T=%g) != dense (T=%g)", gotT, wantT)
-			}
-		})
 	}
 }
 
@@ -226,16 +184,14 @@ func TestLazySourceAbandonsPeriphery(t *testing.T) {
 }
 
 // TestLazyMinPeriodBudgetAbortsIndexBuild: an expired context stops the
-// search during solver construction — with a lazy source, the index build
-// is the bulk of the sweep work — and degrades to the zero-probe partial
-// (Hi = the unretimed period) instead of sweeping on past the deadline.
+// search before its first probe and degrades to the zero-probe partial
+// (Hi = the unretimed period) instead of probing on past the deadline.
 func TestLazyMinPeriodBudgetAbortsIndexBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rg := randomGraph(rng, 12, true)
-	src := NewLazySource(rg, rg.MaxDelay(), 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, _, err := rg.MinPeriod(ctx, src, 1e-3)
+	_, _, _, err := rg.MinPeriod(ctx, 1e-3)
 	var beb *ErrBudgetExceeded
 	if !errors.As(err, &beb) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
@@ -249,9 +205,6 @@ func TestLazyMinPeriodBudgetAbortsIndexBuild(t *testing.T) {
 	}
 	if beb.Partial.Hi != p {
 		t.Fatalf("partial Hi = %g, want unretimed period %g", beb.Partial.Hi, p)
-	}
-	if got := src.Mem().Sweeps; got != 0 {
-		t.Fatalf("aborted build ran %d sweeps", got)
 	}
 }
 

@@ -221,7 +221,7 @@ func TestQuickRetimingPreservesBehavior(t *testing.T) {
 			continue
 		}
 		// Min-period retiming.
-		_, r, _, err := g.MinPeriod(context.Background(), nil, 1e-4)
+		_, r, _, err := g.MinPeriod(context.Background(), 1e-4)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
