@@ -1,0 +1,96 @@
+package lacret
+
+import (
+	"context"
+	"fmt"
+	"hash/fnv"
+	"testing"
+
+	"lacret/internal/core"
+	"lacret/internal/job"
+	"lacret/internal/plan"
+)
+
+// lacPin is the pinned outcome of one LAC solve: the FNV-1a hash of the
+// labels written as "r0,r1,...,", the Table 1 counts, and each weighted
+// round's (N_FOA, registers).
+type lacPin struct {
+	hash          uint64
+	nfoa, nf, nwr int
+	rounds        [][2]int
+}
+
+func (p lacPin) String() string {
+	return fmt.Sprintf("{%#x, %d, %d, %d, %v}", p.hash, p.nfoa, p.nf, p.nwr, p.rounds)
+}
+
+func pinOf(res *core.Result) lacPin {
+	h := fnv.New64a()
+	for _, r := range res.R {
+		fmt.Fprintf(h, "%d,", r)
+	}
+	p := lacPin{hash: h.Sum64(), nfoa: res.NFOA, nf: res.NF, nwr: res.NWR}
+	for _, it := range res.Iters {
+		p.rounds = append(p.rounds, [2]int{it.NFOA, it.Registers})
+	}
+	return p
+}
+
+// TestLACAnswersPinned pins the LAC answers of two LAC-heavy circuits
+// across the alpha grid. The golden s400 pin converges in one round at
+// N_FOA 0, so it cannot see a flow engine that routes later rounds
+// differently; s953 and s641 run several reweighting rounds each. The
+// circuits are planned through min-area retiming at the default request
+// configuration (as lacplan, table1 and lacretd plan them), then solved at
+// each alpha.
+func TestLACAnswersPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("catalog circuits in short mode")
+	}
+	want := map[string]lacPin{
+		"s953@0.05": {0xfb6299f9b615773c, 0, 392, 3, [][2]int{{99, 392}, {33, 392}, {0, 392}}},
+		"s953@0.2":  {0xfb6299f9b615773c, 0, 392, 3, [][2]int{{99, 392}, {33, 392}, {0, 392}}},
+		"s953@1": {0x32f23319597e6fa0, 21, 396, 20, [][2]int{{99, 392}, {37, 398}, {24, 398}, {37, 398},
+			{24, 399}, {37, 398}, {24, 401}, {23, 396}, {37, 400}, {23, 398}, {34, 396}, {22, 399},
+			{34, 396}, {22, 399}, {21, 396}, {22, 398}, {35, 398}, {22, 399}, {34, 396}, {21, 397}}},
+		"s641@0.05": {0x98f90a810872079a, 1, 327, 7, [][2]int{{39, 327}, {1, 327}, {1, 327}, {30, 327},
+			{1, 327}, {1, 327}, {1, 327}}},
+		"s641@0.2": {0x6ae2f1d310db723c, 0, 329, 3, [][2]int{{39, 327}, {1, 327}, {0, 329}}},
+		"s641@1":   {0xe58b45a6a239e714, 0, 331, 2, [][2]int{{39, 327}, {0, 331}}},
+	}
+	for _, circuit := range []string{"s953", "s641"} {
+		req := job.PlanRequest{Source: job.Source{Circuit: circuit}}
+		req.Normalize()
+		nl, err := req.Source.Netlist()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := req.PlanConfig()
+		st, err := plan.NewState(nl, &cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stages []plan.Stage
+		for _, s := range plan.DefaultStages() {
+			if s.Name() != "lac" {
+				stages = append(stages, s)
+			}
+		}
+		if err := st.RunContext(context.Background(), stages, &cfg); err != nil {
+			t.Fatalf("%s: %v", circuit, err)
+		}
+		for _, alpha := range []float64{0.05, 0.2, 1.0} {
+			opt := cfg.LAC
+			opt.Alpha, opt.AlphaSet = alpha, true
+			res, err := st.Result.Problem.Solve(opt)
+			if err != nil {
+				t.Fatalf("%s alpha %g: %v", circuit, alpha, err)
+			}
+			key := fmt.Sprintf("%s@%g", circuit, alpha)
+			got, w := pinOf(res), want[key]
+			if got.String() != w.String() {
+				t.Errorf("%s: got %v, want %v", key, got, w)
+			}
+		}
+	}
+}
