@@ -84,6 +84,10 @@ func BenchmarkTable1LACS400(b *testing.B) { benchLAC(b, "s400") }
 func BenchmarkTable1LACS526(b *testing.B) { benchLAC(b, "s526") }
 func BenchmarkTable1LACS953(b *testing.B) { benchLAC(b, "s953") }
 
+// The LAC-heavy circuits of the planner benchmark's lac-sweep workload.
+func BenchmarkTable1LACS641(b *testing.B)  { benchLAC(b, "s641") }
+func BenchmarkTable1LACS1196(b *testing.B) { benchLAC(b, "s1196") }
+
 // Figure 1: one complete interconnect-planning pass.
 func BenchmarkFigure1Flow(b *testing.B) {
 	p, _ := bench89.ByName("s400")

@@ -99,8 +99,12 @@ type IterStat struct {
 	// — re-route from zero through the already-built network.
 	AugPaths int
 	// Phases counts the flow engine's multi-source Dijkstra searches this
-	// round (each settles all deficits and batch-augments the forest).
+	// round (each settles all deficits and batch-routes the admissible
+	// subgraph).
 	Phases int
+	// Levels counts the level graphs the flow engine routed this round
+	// (each phase routes one or more; see mcmf.SolveStats.Levels).
+	Levels int
 	// SupplyChanged counts the node supplies that differed from the
 	// previous round when the solve started. The constraint arcs' costs
 	// are fixed bounds, so reweighting shows up purely in supplies.
@@ -181,6 +185,16 @@ func (p *Problem) Violations(tileFF []int) (nfoa int, violated []int) {
 // MinAreaBaseline runs plain (uniform-weight) minimum-area retiming at Tclk
 // and reports its violation metrics — the comparison column of Table 1.
 func (p *Problem) MinAreaBaseline() (*Result, error) {
+	return p.MinAreaBaselineContext(context.Background())
+}
+
+// MinAreaBaselineContext is MinAreaBaseline under a context. The context
+// is forwarded into the flow engine, which checks it between its routing
+// phases: a cancelled or expired context aborts the solve with an error
+// wrapping the context's (errors.Is-matchable). Unlike SolveContext there
+// is no anytime answer — the baseline is a single solve. A recorder on the
+// context receives the engine's "mcmf-solve" span.
+func (p *Problem) MinAreaBaselineContext(ctx context.Context) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
@@ -189,7 +203,12 @@ func (p *Problem) MinAreaBaseline() (*Result, error) {
 		return nil, err
 	}
 	t0 := time.Now()
-	ma, err := p.Graph.MinAreaWithConstraints(cs, nil)
+	solver, err := retime.NewMinAreaSolver(p.Graph, cs)
+	if err != nil {
+		return nil, err
+	}
+	solver.SetContext(ctx)
+	ma, err := solver.Resolve(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +222,7 @@ func (p *Problem) MinAreaBaseline() (*Result, error) {
 	res.NFOA, res.Violated = p.Violations(res.TileFF)
 	res.Iters = []IterStat{{NFOA: res.NFOA, Registers: res.NF, Duration: time.Since(t0),
 		Warm: ma.Stats.Warm, AugPaths: ma.Stats.AugmentingPaths, Phases: ma.Stats.Phases,
-		SupplyChanged: ma.Stats.SupplyChanged}}
+		Levels: ma.Stats.Levels, SupplyChanged: ma.Stats.SupplyChanged}}
 	return res, nil
 }
 
@@ -331,7 +350,7 @@ func (p *Problem) SolveContext(ctx context.Context, opt Options) (*Result, error
 		stat := IterStat{NFOA: nfoa, Registers: ma.Registers, MaxRatio: maxRatio,
 			Duration: time.Since(roundStart),
 			Warm:     ma.Stats.Warm, AugPaths: ma.Stats.AugmentingPaths, Phases: ma.Stats.Phases,
-			SupplyChanged: ma.Stats.SupplyChanged}
+			Levels: ma.Stats.Levels, SupplyChanged: ma.Stats.SupplyChanged}
 		gNfoa.Set(float64(nfoa))
 		hRound.Observe(float64(stat.Duration.Microseconds()) / 1000)
 		rsp.SetAttr("nfoa", float64(nfoa))
@@ -344,6 +363,7 @@ func (p *Problem) SolveContext(ctx context.Context, opt Options) (*Result, error
 		rsp.SetAttr("warm", warmF)
 		rsp.SetAttr("augpaths", float64(ma.Stats.AugmentingPaths))
 		rsp.SetAttr("phases", float64(ma.Stats.Phases))
+		rsp.SetAttr("levels", float64(ma.Stats.Levels))
 		rsp.SetAttr("supply_changed", float64(ma.Stats.SupplyChanged))
 
 		if best == nil || cur.NFOA < best.NFOA || (cur.NFOA == best.NFOA && cur.NF < best.NF) {

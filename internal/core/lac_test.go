@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -43,6 +45,21 @@ func TestMinAreaBaselineReportsViolation(t *testing.T) {
 	nfoa, _ := p.Violations(res.TileFF)
 	if nfoa != res.NFOA {
 		t.Fatalf("inconsistent NFOA %d vs %d", res.NFOA, nfoa)
+	}
+}
+
+// TestMinAreaBaselineContextCancelled: the baseline's flow solve honors
+// its context, so a cancelled run stops with the context's error instead
+// of solving to completion.
+func TestMinAreaBaselineContextCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := tightLoose().MinAreaBaselineContext(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("res=%v err=%v, want an error matching context.Canceled", res, err)
+	}
+	if _, err := tightLoose().MinAreaBaselineContext(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 

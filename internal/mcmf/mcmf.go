@@ -8,13 +8,22 @@
 // of the final residual network (see Potentials).
 //
 // The solver has one access pattern: add every arc, then SetSupply followed
-// by Resolve, repeatedly. The first Resolve solves cold. Arc costs are fixed
-// once solving starts, so the residual network and node potentials persist
-// across calls and stay dual-feasible: a re-solve after a supply change runs
-// successive shortest paths on the new imbalance from the previous flow
-// instead of starting cold. This is what makes the LAC reweighting loop
-// cheap: the constraint network is built once and each round only routes
-// the supply change induced by the new weights.
+// by Resolve, repeatedly. The first Resolve freezes the network into
+// per-tail arc arrays and solves cold. Arc costs are fixed once solving
+// starts, so the residual network and node potentials persist across calls
+// and stay dual-feasible: a re-solve after a supply change runs successive
+// shortest paths on the new imbalance from the previous flow instead of
+// starting cold, and a re-solve that resets the flow restores the cached
+// zero-flow potentials instead of rerunning Bellman–Ford. This is what
+// makes the LAC reweighting loop cheap: the constraint network is built
+// once and each round only routes the supply change induced by the new
+// weights.
+//
+// Routing is phase-batched. Each phase runs one multi-source Dijkstra and
+// raises the potentials so every shortest path has zero reduced cost, then
+// routes that admissible subgraph as a Dinic-style blocking flow over
+// breadth-first level graphs, rebuilding the level graph until no deficit
+// is reachable.
 //
 // Capacities, costs, and supplies are float64, but callers that need
 // guaranteed termination and integral optima should supply integral values
@@ -56,11 +65,19 @@ var Inf = math.Inf(1)
 // ArcID identifies an arc added with AddArc.
 type ArcID int
 
-// arc is one direction of a residual pair; arcs[i^1] is its reverse.
+// pendArc is an arc added before the network froze; its capacity is kept
+// in Graph.orig.
+type pendArc struct {
+	from, to int32
+	cost     float64
+}
+
+// arc is one direction of a residual pair in the frozen network; arcs[rev]
+// is its reverse.
 type arc struct {
-	to   int
-	cap  float64 // remaining capacity
-	cost float64
+	to, rev int32
+	cap     float64 // remaining capacity
+	cost    float64
 }
 
 // SolveStats reports how the engine handled the most recent Resolve.
@@ -77,53 +94,74 @@ type SolveStats struct {
 	AugmentingPaths int
 	// Phases counts the multi-source Dijkstra searches run by this
 	// Resolve. Each phase settles every reachable deficit and then
-	// batch-augments along the shortest-path forest, so Phases ≤
-	// AugmentingPaths, usually by a wide margin.
+	// routes the admissible subgraph level graph by level graph, so (in
+	// exact arithmetic) Phases ≤ Levels and Phases ≤ AugmentingPaths,
+	// usually by a wide margin.
 	Phases int
-	// FlowReset is true when a warm solve dropped the previous flow but
-	// kept its potentials: when most supplies changed, re-routing from
-	// zero through a clean residual beats threading the delta through the
-	// narrow reverse arcs the old flow left behind, and the potentials
-	// stay dual-feasible (every original arc kept reduced cost ≥ 0), so
-	// the Bellman–Ford pass a genuinely cold solve pays is still skipped.
+	// Levels counts the level graphs this Resolve routed: within a phase,
+	// a breadth-first search from the excess nodes over the admissible
+	// arcs labels every node with its depth, and a blocking flow then
+	// saturates every depth-increasing path to a deficit. The search is
+	// repeated until it reaches no deficit.
+	Levels int
+	// FlowReset is true when a warm solve dropped the previous flow: when
+	// most supplies changed, re-routing from zero through a clean residual
+	// beats threading the delta through the narrow reverse arcs the old
+	// flow left behind. The reset restores exactly the zero-flow residual
+	// network of the first Resolve, so it also restores that solve's
+	// Bellman–Ford potentials from a cache instead of recomputing them.
 	FlowReset bool
 }
 
 // Graph is a min-cost flow network. The zero value is not usable; call New.
 type Graph struct {
-	n    int
-	arcs []arc
-	head [][]int // head[v] = indices into arcs
-	orig []float64
-	inc  bool // incremental mode engaged (a Resolve has run)
+	n int
+	// Arcs added so far (pend) and every arc's original capacity, indexed
+	// by ArcID. The first Resolve or Potentials freezes pend into the
+	// per-tail arrays below and drops it.
+	pend   []pendArc
+	orig   []float64
+	frozen bool
+	// The frozen residual network: the arcs leaving v are
+	// arcs[start[v]:start[v+1]], forward and reverse halves in AddArc
+	// order, and fwd[id] is the position of arc id's forward half.
+	start []int32
+	arcs  []arc
+	fwd   []int32
+	inc   bool // a Resolve has run
 
 	// Incremental state: potentials and per-node imbalance (target supply
 	// minus currently routed net outflow) persist across Resolve calls.
+	// pot0 caches the first Resolve's zero-flow potentials for flow resets.
 	pot     []float64
+	pot0    []float64
 	excess  []float64
 	supply  []float64
 	pendSup int // nodes with supply changed since last Resolve
 	stats   SolveStats
 	ctx     context.Context // consulted between routing phases; nil = never
 
-	// Per-phase scratch, reused across solves: Dijkstra labels, then the
-	// admissible-subgraph DFS (visited doubles as on-stack/dead marks, cur
-	// is the current-arc pointer, stack holds the DFS path's arc indices).
+	// Per-phase scratch, reused across solves: Dijkstra labels and settled
+	// marks, then the level graph (level is a node's BFS depth, −1 when
+	// unreached or dead; cur is the current-arc pointer; queue is the BFS
+	// queue; stack holds the blocking-flow DFS path's arc positions).
 	dist    []float64
-	prevArc []int
+	prevArc []int32
 	visited []bool
-	cur     []int
-	srcs    []int
-	stack   []int
+	level   []int32
+	cur     []int32
+	srcs    []int32
+	queue   []int32
+	stack   []int32
 	heap    pqHeap
 }
 
 // New returns a network with n nodes and no arcs.
 func New(n int) *Graph {
-	if n < 0 {
-		panic(fmt.Sprintf("mcmf: negative node count %d", n))
+	if n < 0 || n > math.MaxInt32 {
+		panic(fmt.Sprintf("mcmf: node count %d out of range", n))
 	}
-	return &Graph{n: n, head: make([][]int, n)}
+	return &Graph{n: n}
 }
 
 // N returns the number of nodes.
@@ -131,10 +169,10 @@ func (g *Graph) N() int { return g.n }
 
 // AddArc adds a directed arc with the given capacity and per-unit cost and
 // returns its identifier. Capacity may be mcmf.Inf. Every arc must be added
-// before the first Resolve.
+// before the first Resolve (or Potentials), which freezes the network.
 func (g *Graph) AddArc(from, to int, capacity, cost float64) ArcID {
-	if g.inc {
-		panic("mcmf: AddArc after Resolve")
+	if g.frozen {
+		panic("mcmf: AddArc after the network froze (first Resolve or Potentials)")
 	}
 	if from < 0 || from >= g.n || to < 0 || to >= g.n {
 		panic(fmt.Sprintf("mcmf: arc (%d,%d) out of range [0,%d)", from, to, g.n))
@@ -142,18 +180,56 @@ func (g *Graph) AddArc(from, to int, capacity, cost float64) ArcID {
 	if capacity < 0 {
 		panic("mcmf: negative capacity")
 	}
-	id := ArcID(len(g.arcs))
-	g.arcs = append(g.arcs, arc{to: to, cap: capacity, cost: cost})
-	g.arcs = append(g.arcs, arc{to: from, cap: 0, cost: -cost})
-	g.head[from] = append(g.head[from], int(id))
-	g.head[to] = append(g.head[to], int(id)+1)
+	if len(g.pend) >= math.MaxInt32/2 {
+		panic("mcmf: too many arcs")
+	}
+	id := ArcID(len(g.pend))
+	g.pend = append(g.pend, pendArc{from: int32(from), to: int32(to), cost: cost})
 	g.orig = append(g.orig, capacity)
 	return id
 }
 
+// freeze counting-sorts the added arcs into the per-tail residual arrays.
+// Each tail's range lists its arcs' halves in AddArc order, as the
+// adjacency lists of an append-built network would.
+func (g *Graph) freeze() {
+	if g.frozen {
+		return
+	}
+	g.frozen = true
+	start := make([]int32, g.n+1)
+	for _, p := range g.pend {
+		start[p.from+1]++
+		start[p.to+1]++
+	}
+	for v := 0; v < g.n; v++ {
+		start[v+1] += start[v]
+	}
+	pos := make([]int32, g.n)
+	copy(pos, start)
+	arcs := make([]arc, 2*len(g.pend))
+	fwd := make([]int32, len(g.pend))
+	for id, p := range g.pend {
+		i := pos[p.from]
+		pos[p.from]++
+		j := pos[p.to]
+		pos[p.to]++
+		arcs[i] = arc{to: p.to, rev: j, cap: g.orig[id], cost: p.cost}
+		arcs[j] = arc{to: p.from, rev: i, cap: 0, cost: -p.cost}
+		fwd[id] = i
+	}
+	g.start, g.arcs, g.fwd, g.pend = start, arcs, fwd, nil
+}
+
+// tail returns the node arc position i leaves.
+func (g *Graph) tail(i int32) int32 { return g.arcs[g.arcs[i].rev].to }
+
 // Flow returns the flow routed through arc a after the last Resolve.
 func (g *Graph) Flow(a ArcID) float64 {
-	return g.arcs[int(a)^1].cap
+	if !g.frozen {
+		return 0
+	}
+	return g.arcs[g.arcs[g.fwd[a]].rev].cap
 }
 
 // Stats returns the counters of the most recent Resolve.
@@ -202,14 +278,14 @@ func (g *Graph) ensureIncState() {
 }
 
 // Resolve routes the currently set supplies at minimum total cost and
-// returns the cost of the resulting flow. The first call solves cold
-// (Bellman–Ford potentials, then phase-batched successive shortest paths);
-// subsequent calls warm-start from the previous residual network and
-// potentials: a localized supply change routes only the per-node
-// imbalance, while a global one (most supplies changed) re-routes from zero
-// flow through the already-built network (see SolveStats.FlowReset). After
-// an error the residual state is undefined and the network should be
-// discarded.
+// returns the cost of the resulting flow. The first call freezes the
+// network and solves cold (Bellman–Ford potentials, then phase-batched
+// successive shortest paths); subsequent calls warm-start from the
+// previous residual network and potentials: a localized supply change
+// routes only the per-node imbalance, while a global one (most supplies
+// changed) re-routes from zero flow through the already-built network (see
+// SolveStats.FlowReset). After an error the residual state is undefined
+// and the network should be discarded.
 func (g *Graph) Resolve() (float64, error) {
 	g.ensureIncState()
 	st := SolveStats{
@@ -233,10 +309,12 @@ func (g *Graph) Resolve() (float64, error) {
 		sp.SetAttr("flow_reset", b2f(st.FlowReset))
 		sp.SetAttr("supply_changed", float64(st.SupplyChanged))
 		sp.SetAttr("phases", float64(st.Phases))
+		sp.SetAttr("levels", float64(st.Levels))
 		sp.SetAttr("augpaths", float64(st.AugmentingPaths))
 		sp.End()
 		reg := obs.FromContext(sctx).Registry()
 		reg.Counter("mcmf.phases").Add(int64(st.Phases))
+		reg.Counter("mcmf.levels").Add(int64(st.Levels))
 		reg.Counter("mcmf.augpaths").Add(int64(st.AugmentingPaths))
 	}()
 	if !g.inc {
@@ -247,21 +325,16 @@ func (g *Graph) Resolve() (float64, error) {
 			return 0, err
 		}
 		g.pot = pot
+		g.pot0 = append([]float64(nil), pot...)
 	}
 	// Adaptive warm start: a localized supply change routes fastest as a
 	// delta through the existing flow, but a global one (e.g. a LAC
 	// reweighting round, which perturbs every node's supply) routes fewer
-	// and wider paths from zero flow. Keep the potentials either way — that
-	// is the expensive part of a cold start.
+	// and wider paths from zero flow. The zero-flow potentials are cached,
+	// so the reset skips the expensive part of a cold start.
 	if st.Warm && 4*st.SupplyChanged >= g.n {
 		st.FlowReset = true
 		g.resetFlow()
-		pot, err := g.Potentials()
-		if err != nil {
-			g.stats = st
-			return 0, err
-		}
-		g.pot = pot
 	}
 	if err := g.route(rctx, &st); err != nil {
 		g.stats = st
@@ -271,24 +344,26 @@ func (g *Graph) Resolve() (float64, error) {
 	return g.flowCost(), nil
 }
 
-// resetFlow returns every arc to its original capacity and the imbalance to
-// the full supply vector (the adaptive flow reset).
+// resetFlow returns every arc to its original capacity, the imbalance to
+// the full supply vector and the potentials to the cached zero-flow ones
+// (the adaptive flow reset).
 func (g *Graph) resetFlow() {
-	for p, c := range g.orig {
-		g.arcs[2*p].cap = c
-		g.arcs[2*p+1].cap = 0
+	for id, i := range g.fwd {
+		g.arcs[i].cap = g.orig[id]
+		g.arcs[g.arcs[i].rev].cap = 0
 	}
 	copy(g.excess, g.supply)
+	copy(g.pot, g.pot0)
 }
 
-// flowCost recomputes the total cost of the routed flow (incremental
-// accounting would drift across flow resets and re-routes; the direct sum
-// is exact and O(m)).
+// flowCost recomputes the total cost of the routed flow in ArcID order
+// (incremental accounting would drift across flow resets and re-routes;
+// the direct sum is exact and O(m)).
 func (g *Graph) flowCost() float64 {
 	var total float64
-	for p := range g.orig {
-		if f := g.arcs[2*p+1].cap; f > 0 {
-			total += f * g.arcs[2*p].cost
+	for _, i := range g.fwd {
+		if f := g.arcs[g.arcs[i].rev].cap; f > 0 {
+			total += f * g.arcs[i].cost
 		}
 	}
 	return total
@@ -299,11 +374,10 @@ func (g *Graph) flowCost() float64 {
 // settling every reachable deficit, then raises potentials by min(dist, D)
 // with D the farthest settled deficit (the early-termination label update of
 // Ahuja–Magnanti–Orlin §9.7). After the update every shortest path consists
-// of zero-reduced-cost arcs, so the phase batch-routes with a Dinic-style
-// depth-first search over that admissible subgraph: augmenting only
-// zero-reduced-cost arcs keeps the invariant (their reverses are zero too),
-// and the DFS re-roots freely when a source dries up instead of being stuck
-// with the one tree branch Dijkstra happened to record.
+// of zero-reduced-cost arcs, so the phase batch-routes that admissible
+// subgraph Dinic-style, one level graph at a time (levelize, blockingFlow):
+// augmenting only zero-reduced-cost arcs keeps the invariant (their
+// reverses are zero too).
 //
 // The alternative — one Dijkstra per augmenting path, the classical SSP loop
 // — is what made reweighted LAC rounds expensive: reweighting leaves nearly
@@ -314,11 +388,13 @@ func (g *Graph) route(ctx context.Context, st *SolveStats) error {
 	n := g.n
 	if len(g.dist) < n {
 		g.dist = make([]float64, n)
-		g.prevArc = make([]int, n)
+		g.prevArc = make([]int32, n)
 		g.visited = make([]bool, n)
-		g.cur = make([]int, n)
+		g.level = make([]int32, n)
+		g.cur = make([]int32, n)
 	}
-	dist, prevArc, visited, cur := g.dist[:n], g.prevArc[:n], g.visited[:n], g.cur[:n]
+	dist, prevArc, visited := g.dist[:n], g.prevArc[:n], g.visited[:n]
+	arcs, start := g.arcs, g.start
 	for {
 		if g.ctx != nil {
 			if err := g.ctx.Err(); err != nil {
@@ -331,13 +407,12 @@ func (g *Graph) route(ctx context.Context, st *SolveStats) error {
 		for v := 0; v < n; v++ {
 			visited[v] = false
 			prevArc[v] = -1
-			cur[v] = 0
 			switch {
 			case g.excess[v] > Eps:
 				dist[v] = 0
 				// Ascending v with equal keys: each push is O(1), no sift.
 				g.heap.push(pqItem{v: v, dist: 0})
-				g.srcs = append(g.srcs, v)
+				g.srcs = append(g.srcs, int32(v))
 			default:
 				if g.excess[v] < -Eps {
 					ndef++
@@ -371,12 +446,13 @@ func (g *Graph) route(ctx context.Context, st *SolveStats) error {
 				}
 				// Keep relaxing: shortest paths may run through deficits.
 			}
-			for _, ai := range g.head[it.v] {
-				a := g.arcs[ai]
+			pv := g.pot[it.v]
+			for i := start[it.v]; i < start[it.v+1]; i++ {
+				a := &arcs[i]
 				if a.cap <= Eps || visited[a.to] {
 					continue
 				}
-				rc := a.cost + g.pot[it.v] - g.pot[a.to]
+				rc := a.cost + pv - g.pot[a.to]
 				if rc < 0 {
 					// Residual reduced costs are nonnegative in exact
 					// arithmetic (the successive-shortest-path invariant),
@@ -386,8 +462,8 @@ func (g *Graph) route(ctx context.Context, st *SolveStats) error {
 				}
 				if nd := it.dist + rc; nd < dist[a.to]-costEps {
 					dist[a.to] = nd
-					prevArc[a.to] = ai
-					g.heap.push(pqItem{v: a.to, dist: nd})
+					prevArc[a.to] = i
+					g.heap.push(pqItem{v: int(a.to), dist: nd})
 				}
 			}
 		}
@@ -397,9 +473,9 @@ func (g *Graph) route(ctx context.Context, st *SolveStats) error {
 		}
 		// Settled deficits have distances ≤ D, so after the capped update
 		// every arc on their shortest-path trees has reduced cost exactly 0
-		// and stays shortest throughout the batch below. D == 0 (all
-		// deficits tied at zero) leaves every potential unchanged, so the
-		// O(n) pass is skipped.
+		// and stays shortest while the level graphs below route. D == 0
+		// (all deficits tied at zero) leaves every potential unchanged, so
+		// the O(n) pass is skipped.
 		if D > 0 {
 			for v := 0; v < n; v++ {
 				if dist[v] < D {
@@ -409,59 +485,42 @@ func (g *Graph) route(ctx context.Context, st *SolveStats) error {
 				}
 			}
 		}
-		// Batch-route the admissible subgraph until it is exhausted. The
-		// dead-node marks are only valid until the next augmentation (a
-		// revived reverse arc can resurrect a dead node), so keep running
-		// passes with fresh marks until one routes nothing; only then is a
+		// Route the admissible subgraph one level graph at a time until no
+		// deficit is reachable from the remaining excess; only then is a
 		// new Dijkstra — the expensive part of a phase — worth paying for.
-		// visited switches roles here: Dijkstra's settled marks become the
-		// DFS's on-stack/dead marks.
-		phaseAug := 0
-		for {
-			for v := 0; v < n; v++ {
-				visited[v] = false
-				cur[v] = 0
-			}
-			passAug := 0
-			for _, s := range g.srcs {
-				for g.excess[s] > Eps && g.dfsAugment(s, st) {
-					passAug++
-				}
-			}
-			phaseAug += passAug
-			if passAug == 0 {
-				break
-			}
+		for g.levelize() {
+			st.Levels++
+			g.blockingFlow(st)
 		}
-		if phaseAug > 0 {
+		if st.AugmentingPaths > augBefore {
 			psp.SetAttr("augpaths", float64(st.AugmentingPaths-augBefore))
 			psp.End()
 			continue
 		}
-		// The DFS's dead-node marking is phase-local and approximate (an
-		// augmentation can revive a node already marked dead), so in
-		// principle a phase can route nothing. Guarantee progress by
-		// augmenting the nearest settled deficit along its Dijkstra tree
-		// branch: no flow moved this phase, so the branch still has
-		// capacity and its root still has excess.
+		// In exact arithmetic the nearest settled deficit's tree branch is
+		// admissible after the update, so the level graph reaches it. Only
+		// floating-point drift in the reduced costs can leave a phase that
+		// routed nothing; guarantee progress by augmenting that branch: no
+		// flow moved this phase, so it still has capacity and its root
+		// still has excess.
 		bottleneck := -g.excess[first]
-		v := first
+		v := int32(first)
 		for prevArc[v] != -1 {
 			ai := prevArc[v]
-			if g.arcs[ai].cap < bottleneck {
-				bottleneck = g.arcs[ai].cap
+			if arcs[ai].cap < bottleneck {
+				bottleneck = arcs[ai].cap
 			}
-			v = g.arcs[ai^1].to
+			v = g.tail(ai)
 		}
 		root := v
 		if g.excess[root] < bottleneck {
 			bottleneck = g.excess[root]
 		}
-		for v = first; prevArc[v] != -1; {
+		for v = int32(first); prevArc[v] != -1; {
 			ai := prevArc[v]
-			g.arcs[ai].cap -= bottleneck
-			g.arcs[ai^1].cap += bottleneck
-			v = g.arcs[ai^1].to
+			arcs[ai].cap -= bottleneck
+			arcs[arcs[ai].rev].cap += bottleneck
+			v = g.tail(ai)
 		}
 		g.excess[root] -= bottleneck
 		g.excess[first] += bottleneck
@@ -482,81 +541,140 @@ func b2f(v bool) float64 {
 	return 0
 }
 
-// dfsAugment routes one augmenting path from source s to any deficit along
-// admissible (zero-reduced-cost, positive-capacity) residual arcs,
-// depth-first. It returns false when the unexplored admissible subgraph has
-// no deficit reachable from s. visited doubles as the on-stack and dead-node
-// mark; cur is the Dinic-style current-arc pointer, so repeated probes from
-// the sources of one phase never rescan a node's rejected arcs.
-func (g *Graph) dfsAugment(s int, st *SolveStats) bool {
-	g.stack = g.stack[:0]
-	g.visited[s] = true
-	v := s
-	for {
-		advanced := false
-		for g.cur[v] < len(g.head[v]) {
-			ai := g.head[v][g.cur[v]]
-			a := &g.arcs[ai]
-			if a.cap > Eps && !g.visited[a.to] && a.cost+g.pot[v]-g.pot[a.to] <= costEps {
-				if g.excess[a.to] < -Eps {
-					g.augmentStack(s, ai, st)
-					return true
-				}
-				g.visited[a.to] = true
-				g.stack = append(g.stack, ai)
-				v = a.to
-				advanced = true
-				break
-			}
-			g.cur[v]++
+// levelize builds the next level graph: a breadth-first search from every
+// node with excess over admissible arcs (positive capacity, zero reduced
+// cost) labels each reached node with its depth (level), and −1 every
+// other node. Deficits are labeled but not expanded, and the search stops
+// once every deficit is labeled: no node labeled later could lead to one
+// along depth-increasing arcs. It resets the current-arc pointers and
+// reports whether a deficit was reached.
+func (g *Graph) levelize() bool {
+	n := g.n
+	level, arcs, start := g.level[:n], g.arcs, g.start
+	ndef := 0
+	for v := range level {
+		level[v] = -1
+		if g.excess[v] < -Eps {
+			ndef++
 		}
-		if advanced {
-			continue
-		}
-		if len(g.stack) == 0 {
-			// s itself is dead for this phase; the mark stays so other
-			// sources' probes skip it too.
-			return false
-		}
-		// Retreat. v stays marked (its arcs are exhausted — dead until the
-		// next phase) and the search resumes at its parent.
-		ai := g.stack[len(g.stack)-1]
-		g.stack = g.stack[:len(g.stack)-1]
-		v = g.arcs[ai^1].to
 	}
+	q := g.queue[:0]
+	for _, s := range g.srcs {
+		if g.excess[s] > Eps {
+			level[s] = 0
+			q = append(q, s)
+		}
+	}
+	left := ndef
+	for h := 0; h < len(q) && left > 0; h++ {
+		v := q[h]
+		next, pv := level[v]+1, g.pot[v]
+		for i := start[v]; i < start[v+1]; i++ {
+			a := &arcs[i]
+			if a.cap > Eps && level[a.to] < 0 && a.cost+pv-g.pot[a.to] <= costEps {
+				level[a.to] = next
+				if g.excess[a.to] < -Eps {
+					left--
+				} else {
+					q = append(q, a.to)
+				}
+			}
+		}
+	}
+	g.queue = q
+	copy(g.cur[:n], start)
+	return left < ndef
 }
 
-// augmentStack pushes the bottleneck along g.stack plus the final arc `last`
-// from source s to the deficit at arcs[last].to, then unmarks the path nodes
-// so the next probe from s can reuse the path up to whatever saturated.
-func (g *Graph) augmentStack(s, last int, st *SolveStats) {
-	t := g.arcs[last].to
-	bottleneck := -g.excess[t]
-	if g.excess[s] < bottleneck {
-		bottleneck = g.excess[s]
-	}
-	if c := g.arcs[last].cap; c < bottleneck {
-		bottleneck = c
-	}
-	for _, ai := range g.stack {
-		if c := g.arcs[ai].cap; c < bottleneck {
-			bottleneck = c
+// blockingFlow routes every source's excess through the current level
+// graph along depth-increasing admissible arcs until no deficit is
+// reachable in it.
+//
+// The search is a current-arc DFS. A node it retreats from has no
+// depth-increasing admissible arc left, and it gets level −1 for the rest
+// of this level graph: augmentations only create reverse arcs, which lead
+// one level back toward the sources, so nothing can revive it. The dead
+// marks are therefore exact, and no arc is rescanned after it was
+// rejected.
+func (g *Graph) blockingFlow(st *SolveStats) {
+	arcs, start, level, cur := g.arcs, g.start, g.level, g.cur
+	stack := g.stack[:0]
+	for _, s := range g.srcs {
+		if level[s] != 0 {
+			continue // no excess when levelized, or dead
+		}
+		stack = stack[:0]
+		v := s
+		for g.excess[s] > Eps {
+			next, pv := level[v]+1, g.pot[v]
+			i, end := cur[v], start[v+1]
+			for ; i < end; i++ {
+				if a := &arcs[i]; a.cap > Eps && level[a.to] == next && a.cost+pv-g.pot[a.to] <= costEps {
+					break
+				}
+			}
+			cur[v] = i
+			if i == end {
+				level[v] = -1
+				if len(stack) == 0 {
+					break
+				}
+				stack = stack[:len(stack)-1]
+				if len(stack) == 0 {
+					v = s
+				} else {
+					v = arcs[stack[len(stack)-1]].to
+				}
+				continue
+			}
+			stack = append(stack, i)
+			w := arcs[i].to
+			if g.excess[w] >= -Eps {
+				v = w
+				continue
+			}
+			// Augment, then resume at the tail of the first arc the
+			// bottleneck saturated, or beyond w when only excesses ran out.
+			if k := g.augment(s, w, stack, st); k < len(stack) {
+				v = g.tail(stack[k])
+				stack = stack[:k]
+			} else {
+				v = w
+			}
 		}
 	}
-	g.arcs[last].cap -= bottleneck
-	g.arcs[last^1].cap += bottleneck
-	for _, ai := range g.stack {
-		g.arcs[ai].cap -= bottleneck
-		g.arcs[ai^1].cap += bottleneck
-		g.visited[g.arcs[ai].to] = false
+	g.stack = stack
+}
+
+// augment pushes the bottleneck of the path (arc positions, source s to
+// deficit t) and returns the index of the first path arc it saturated, or
+// len(path) when none was.
+func (g *Graph) augment(s, t int32, path []int32, st *SolveStats) int {
+	b := g.excess[s]
+	if d := -g.excess[t]; d < b {
+		b = d
 	}
-	g.visited[s] = false
-	g.excess[s] -= bottleneck
-	g.excess[t] += bottleneck
+	for _, i := range path {
+		if c := g.arcs[i].cap; c < b {
+			b = c
+		}
+	}
+	k := len(path)
+	for j, i := range path {
+		a := &g.arcs[i]
+		a.cap -= b
+		g.arcs[a.rev].cap += b
+		if k == len(path) && a.cap <= Eps {
+			k = j
+		}
+	}
+	g.excess[s] -= b
+	g.excess[t] += b
 	st.AugmentingPaths++
 	if augmentCheck != nil {
 		augmentCheck(g, g.pot)
 	}
+	return k
 }
 
 // augmentCheck, when non-nil, runs after every augmentation with the
@@ -572,7 +690,7 @@ var augmentCheck func(g *Graph, pot []float64)
 // over the current residual network. Before any solve this doubles as the
 // initial-potential computation (and negative-cycle check); after a solve
 // the residual network has no negative cycles at optimality, so the
-// distances are well defined.
+// distances are well defined. It freezes the network like Resolve.
 //
 // For retiming: with constraint arcs u→v of cost b encoding
 // r(u) − r(v) ≤ b, setting r(v) = −Potentials()[v] yields an optimal
@@ -583,13 +701,15 @@ var augmentCheck func(g *Graph, pot []float64)
 // canonical: a warm-started and a cold solve extract identical labels even
 // when their flows differ among ties.
 func (g *Graph) Potentials() ([]float64, error) {
+	g.freeze()
+	arcs, start := g.arcs, g.start
 	dist := make([]float64, g.n)
 	var changed bool
 	for iter := 0; iter <= g.n; iter++ {
 		changed = false
 		for v := 0; v < g.n; v++ {
-			for _, ai := range g.head[v] {
-				a := g.arcs[ai]
+			for i := start[v]; i < start[v+1]; i++ {
+				a := &arcs[i]
 				if a.cap <= Eps {
 					continue
 				}

@@ -74,6 +74,16 @@ func TestNegativeCycleDetected(t *testing.T) {
 	}
 }
 
+func TestNegativeSelfLoopDetected(t *testing.T) {
+	// A self-loop's two residual halves share one tail's arc range.
+	g := New(2)
+	g.AddArc(0, 1, Inf, 1)
+	g.AddArc(1, 1, 1, -1)
+	if _, err := solve(g, []float64{1, -1}); err != ErrNegativeCycle {
+		t.Fatalf("err=%v, want ErrNegativeCycle", err)
+	}
+}
+
 func TestInfeasibleSupplies(t *testing.T) {
 	// No path from 0 to 1.
 	g := New(2)
@@ -272,8 +282,8 @@ func TestResidualReducedCostsNonnegative(t *testing.T) {
 	defer func() { augmentCheck = nil }()
 	augmentCheck = func(g *Graph, pot []float64) {
 		for v := 0; v < g.n; v++ {
-			for _, ai := range g.head[v] {
-				a := g.arcs[ai]
+			for i := g.start[v]; i < g.start[v+1]; i++ {
+				a := g.arcs[i]
 				if a.cap <= Eps {
 					continue
 				}
@@ -482,8 +492,8 @@ func TestResolveWarmEqualsColdRandom(t *testing.T) {
 	defer func() { augmentCheck = nil }()
 	augmentCheck = func(g *Graph, pot []float64) {
 		for v := 0; v < g.n; v++ {
-			for _, ai := range g.head[v] {
-				a := g.arcs[ai]
+			for i := g.start[v]; i < g.start[v+1]; i++ {
+				a := g.arcs[i]
 				if a.cap <= Eps {
 					continue
 				}
@@ -556,6 +566,108 @@ func TestResolveWarmEqualsColdRandom(t *testing.T) {
 			}
 			if t.Failed() {
 				t.Fatalf("trial %d round %d: invariant violated", trial, round)
+			}
+		}
+	}
+}
+
+// TestResolveSequenceProperties drives random networks — parallel arcs,
+// self-loops, finite and infinite capacities, a feasibility ring — through
+// mixed sequences of delta supply changes (a unit shifted between two
+// nodes, routed through the kept flow) and global ones (every supply
+// redrawn, which resets the flow). After every Resolve the flow read back
+// through Flow must conserve each node's supply and respect capacities,
+// the returned cost must equal Σ Flow·cost, and Potentials must equal a
+// fresh cold network's.
+func TestResolveSequenceProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 60; trial++ {
+		n := 6 + rng.Intn(15)
+		var specs [][4]float64
+		var costs []float64
+		add := func(u, v int, capacity, cost float64) {
+			specs = append(specs, [4]float64{float64(u), float64(v), capacity, 0})
+			costs = append(costs, cost)
+		}
+		for v := 0; v < n; v++ {
+			add(v, (v+1)%n, Inf, float64(3+rng.Intn(4)))
+		}
+		for k := 3 * n; k > 0; k-- {
+			u, v := rng.Intn(n), rng.Intn(n)
+			capacity := float64(1 + rng.Intn(4))
+			if rng.Float64() < 0.3 {
+				capacity = Inf
+			}
+			add(u, v, capacity, float64(rng.Intn(5)))
+		}
+		g := New(n)
+		for i, s := range specs {
+			g.AddArc(int(s[0]), int(s[1]), s[2], costs[i])
+		}
+		supply := make([]float64, n)
+		for round := 0; round < 8; round++ {
+			global := round == 0 || rng.Float64() < 0.4
+			if global {
+				for v := range supply {
+					supply[v] = 0
+				}
+				for k := 0; k < n; k++ {
+					u, v := rng.Intn(n), rng.Intn(n)
+					d := float64(1 + rng.Intn(3))
+					supply[u] += d
+					supply[v] -= d
+				}
+			} else {
+				u, v := rng.Intn(n), rng.Intn(n)
+				d := float64(1 + rng.Intn(3))
+				supply[u] += d
+				supply[v] -= d
+			}
+			if err := g.SetSupply(supply); err != nil {
+				t.Fatalf("trial %d round %d: SetSupply: %v", trial, round, err)
+			}
+			cost, err := g.Resolve()
+			if err != nil {
+				t.Fatalf("trial %d round %d: %v", trial, round, err)
+			}
+			st := g.Stats()
+			if round > 0 && (!st.Warm || st.FlowReset != (4*st.SupplyChanged >= n)) {
+				t.Fatalf("trial %d round %d: stats %+v", trial, round, st)
+			}
+			if st.Levels < st.Phases {
+				t.Fatalf("trial %d round %d: %d level graphs in %d phases", trial, round, st.Levels, st.Phases)
+			}
+			net := make([]float64, n)
+			var sum float64
+			for i, s := range specs {
+				f := g.Flow(ArcID(i))
+				if f < 0 || f > s[2] {
+					t.Fatalf("trial %d round %d: arc %d flow %g outside [0,%g]", trial, round, i, f, s[2])
+				}
+				net[int(s[0])] += f
+				net[int(s[1])] -= f
+				sum += f * costs[i]
+			}
+			for v := range net {
+				if net[v] != supply[v] {
+					t.Fatalf("trial %d round %d: node %d routes %g, supply %g", trial, round, v, net[v], supply[v])
+				}
+			}
+			if cost != sum {
+				t.Fatalf("trial %d round %d: cost %g, Σ Flow·cost %g", trial, round, cost, sum)
+			}
+			coldCost, coldPot := coldCopy(t, n, specs, costs, supply)
+			pot, err := g.Potentials()
+			if err != nil {
+				t.Fatalf("trial %d round %d: potentials: %v", trial, round, err)
+			}
+			if cost != coldCost {
+				t.Fatalf("trial %d round %d: cost %g, cold %g", trial, round, cost, coldCost)
+			}
+			for v := range pot {
+				if pot[v] != coldPot[v] {
+					t.Fatalf("trial %d round %d: pot[%d] %g, cold %g", trial, round, v, pot[v], coldPot[v])
+				}
 			}
 		}
 	}

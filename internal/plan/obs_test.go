@@ -19,6 +19,17 @@ func countSpans(spans []*obs.Span, name string) int {
 	return n
 }
 
+// forEachSpan calls fn on every span named name in the trees rooted at
+// spans.
+func forEachSpan(spans []*obs.Span, name string, fn func(*obs.Span)) {
+	for _, sp := range spans {
+		if sp.Name == name {
+			fn(sp)
+		}
+		forEachSpan(sp.Children, name, fn)
+	}
+}
+
 // TestPlanObserved is the instrumentation contract end to end: a recorder on
 // the context yields a pass span with one child per executed stage, the
 // anytime stages carry their sub-stage spans (period probes, routing rounds,
@@ -85,6 +96,8 @@ func TestPlanObserved(t *testing.T) {
 		{"periods", "probe", 1},
 		{"route", "initial", 1},
 		{"route", "round", 1},
+		{"minarea", "mcmf-solve", 1},
+		{"minarea", "phase", 1},
 		{"lac", "lac-round", 1},
 		{"lac", "mcmf-solve", 1},
 		{"lac", "phase", 1},
@@ -188,9 +201,37 @@ func TestPlanObserved(t *testing.T) {
 		}
 	}
 
+	// The min-area baseline is one flow solve, so its stage holds exactly
+	// one mcmf-solve span. Every solve span carries its level-graph count,
+	// and the spans, the registry and the two retiming stages' counters
+	// agree on the total.
+	if n := countSpans(sub["minarea"], "mcmf-solve"); n != 1 {
+		t.Errorf("minarea stage has %d mcmf-solve sub-spans, want 1", n)
+	}
+	spanLevels, stageLevels := 0.0, 0.0
+	for _, stage := range []string{"minarea", "lac"} {
+		forEachSpan(sub[stage], "mcmf-solve", func(sp *obs.Span) {
+			v, ok := sp.Attr("levels")
+			if !ok {
+				t.Errorf("%s: mcmf-solve span missing levels attr", stage)
+			}
+			spanLevels += v
+		})
+	}
+	for _, ev := range res.Trace {
+		for _, c := range ev.Counters {
+			if c.Name == "levels" && (ev.Stage == "minarea" || ev.Stage == "lac") {
+				stageLevels += c.Value
+			}
+		}
+	}
+	if got := rec.Registry().Snapshot().Counters["mcmf.levels"]; got == 0 || float64(got) != spanLevels || spanLevels != stageLevels {
+		t.Errorf("levels: counter %d, spans %g, stage counters %g", got, spanLevels, stageLevels)
+	}
+
 	// The shared registry accumulated the work counters.
 	snap := rec.Registry().Snapshot()
-	for _, name := range []string{"retime.probes", "route.rounds", "lac.rounds", "mcmf.phases", "mcmf.augpaths"} {
+	for _, name := range []string{"retime.probes", "route.rounds", "lac.rounds", "mcmf.phases", "mcmf.levels", "mcmf.augpaths"} {
 		if snap.Counters[name] == 0 {
 			t.Errorf("counter %s is zero after an observed plan", name)
 		}

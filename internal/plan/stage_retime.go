@@ -146,7 +146,7 @@ func (minAreaStage) Name() string { return stageMinArea }
 
 func (minAreaStage) Run(ctx context.Context, st *PlanState, cfg *Config) error {
 	res := st.Result
-	ma, err := res.Problem.MinAreaBaseline()
+	ma, err := res.Problem.MinAreaBaselineContext(ctx)
 	if err != nil {
 		return err
 	}
@@ -159,16 +159,18 @@ func (minAreaStage) Counters(st *PlanState) []Counter {
 	if st.Result.MinArea == nil {
 		return nil
 	}
-	var aug, ph int
+	var aug, ph, lv int
 	for _, it := range st.Result.MinArea.Iters {
 		aug += it.AugPaths
 		ph += it.Phases
+		lv += it.Levels
 	}
 	return []Counter{
 		{"nfoa", float64(st.Result.MinArea.NFOA)},
 		{"nf", float64(st.Result.MinArea.NF)},
 		{"augpaths", float64(aug)},
 		{"phases", float64(ph)},
+		{"levels", float64(lv)},
 	}
 }
 
@@ -207,13 +209,15 @@ func (lacStage) Counters(st *PlanState) []Counter {
 		return nil
 	}
 	// Incremental-engine telemetry: how many rounds reused the previous
-	// solver state, and the total augmenting paths and search phases
-	// across the loop (each phase batch-routes the whole admissible
-	// subgraph, so phases ≪ augpaths measures how well batching worked).
-	var aug, ph, warm int
+	// solver state, and the total augmenting paths, search phases and
+	// level graphs across the loop (each phase batch-routes the whole
+	// admissible subgraph, so phases ≪ augpaths measures how well batching
+	// worked).
+	var aug, ph, lv, warm int
 	for _, it := range st.Result.LAC.Iters {
 		aug += it.AugPaths
 		ph += it.Phases
+		lv += it.Levels
 		if it.Warm {
 			warm++
 		}
@@ -225,5 +229,6 @@ func (lacStage) Counters(st *PlanState) []Counter {
 		{"warm", float64(warm)},
 		{"augpaths", float64(aug)},
 		{"phases", float64(ph)},
+		{"levels", float64(lv)},
 	}
 }
