@@ -36,10 +36,11 @@ func pinOf(res *core.Result) lacPin {
 	return p
 }
 
-// TestLACAnswersPinned pins the LAC answers of two LAC-heavy circuits
+// TestLACAnswersPinned pins the LAC answers of four LAC-heavy circuits
 // across the alpha grid. The golden s400 pin converges in one round at
 // N_FOA 0, so it cannot see a flow engine that routes later rounds
-// differently; s953 and s641 run several reweighting rounds each. The
+// differently; s953, s641, s1196 and s1423 run several reweighting rounds
+// each. The
 // circuits are planned through min-area retiming at the default request
 // configuration (as lacplan, table1 and lacretd plan them), then solved at
 // each alpha.
@@ -57,8 +58,20 @@ func TestLACAnswersPinned(t *testing.T) {
 			{1, 327}, {1, 327}, {1, 327}}},
 		"s641@0.2": {0x6ae2f1d310db723c, 0, 329, 3, [][2]int{{39, 327}, {1, 327}, {0, 329}}},
 		"s641@1":   {0xe58b45a6a239e714, 0, 331, 2, [][2]int{{39, 327}, {0, 331}}},
+		"s1196@0.05": {0xff12692e1d8fe17a, 22, 578, 13, [][2]int{{210, 569}, {51, 569}, {54, 573}, {33, 573},
+			{57, 578}, {27, 578}, {49, 578}, {22, 578}, {45, 578}, {23, 578}, {41, 578}, {26, 578}, {42, 578}}},
+		"s1196@0.2": {0x6e40649e35c74777, 22, 579, 13, [][2]int{{210, 569}, {52, 573}, {62, 578}, {28, 578},
+			{45, 578}, {26, 579}, {41, 579}, {22, 579}, {69, 579}, {78, 578}, {90, 578}, {90, 578}, {160, 578}}},
+		"s1196@1": {0x20b29b4e9b74e5e1, 48, 592, 9, [][2]int{{210, 569}, {53, 590}, {71, 590}, {48, 592},
+			{104, 579}, {90, 582}, {90, 578}, {160, 578}, {160, 578}}},
+		"s1423@0.05": {0xf8487b7ac43b50c0, 148, 786, 9, [][2]int{{454, 783}, {187, 783}, {175, 783}, {148, 786},
+			{179, 821}, {164, 821}, {181, 821}, {164, 821}, {173, 821}}},
+		"s1423@0.2": {0x2d1a7499ff6731ad, 159, 835, 11, [][2]int{{454, 783}, {183, 786}, {184, 825}, {167, 832},
+			{179, 832}, {159, 835}, {179, 835}, {171, 837}, {188, 838}, {160, 834}, {231, 828}}},
+		"s1423@1": {0xdb31f035d3bae83, 187, 857, 9, [][2]int{{454, 783}, {198, 858}, {202, 863}, {187, 857},
+			{228, 835}, {248, 849}, {296, 828}, {296, 828}, {313, 843}}},
 	}
-	for _, circuit := range []string{"s953", "s641"} {
+	for _, circuit := range []string{"s953", "s641", "s1196", "s1423"} {
 		req := job.PlanRequest{Source: job.Source{Circuit: circuit}}
 		req.Normalize()
 		nl, err := req.Source.Netlist()
