@@ -102,9 +102,10 @@ type IterStat struct {
 	// round (each settles all deficits and batch-routes the admissible
 	// subgraph).
 	Phases int
-	// Levels counts the level graphs the flow engine routed this round
-	// (each phase routes one or more; see mcmf.SolveStats.Levels).
-	Levels int
+	// Labelings counts the flow engine's exact distance labelings this
+	// round (one per phase plus one per global relabel; see
+	// mcmf.SolveStats.Labelings).
+	Labelings int
 	// SupplyChanged counts the node supplies that differed from the
 	// previous round when the solve started. The constraint arcs' costs
 	// are fixed bounds, so reweighting shows up purely in supplies.
@@ -222,7 +223,7 @@ func (p *Problem) MinAreaBaselineContext(ctx context.Context) (*Result, error) {
 	res.NFOA, res.Violated = p.Violations(res.TileFF)
 	res.Iters = []IterStat{{NFOA: res.NFOA, Registers: res.NF, Duration: time.Since(t0),
 		Warm: ma.Stats.Warm, AugPaths: ma.Stats.AugmentingPaths, Phases: ma.Stats.Phases,
-		Levels: ma.Stats.Levels, SupplyChanged: ma.Stats.SupplyChanged}}
+		Labelings: ma.Stats.Labelings, SupplyChanged: ma.Stats.SupplyChanged}}
 	return res, nil
 }
 
@@ -350,7 +351,7 @@ func (p *Problem) SolveContext(ctx context.Context, opt Options) (*Result, error
 		stat := IterStat{NFOA: nfoa, Registers: ma.Registers, MaxRatio: maxRatio,
 			Duration: time.Since(roundStart),
 			Warm:     ma.Stats.Warm, AugPaths: ma.Stats.AugmentingPaths, Phases: ma.Stats.Phases,
-			Levels: ma.Stats.Levels, SupplyChanged: ma.Stats.SupplyChanged}
+			Labelings: ma.Stats.Labelings, SupplyChanged: ma.Stats.SupplyChanged}
 		gNfoa.Set(float64(nfoa))
 		hRound.Observe(float64(stat.Duration.Microseconds()) / 1000)
 		rsp.SetAttr("nfoa", float64(nfoa))
@@ -363,7 +364,7 @@ func (p *Problem) SolveContext(ctx context.Context, opt Options) (*Result, error
 		rsp.SetAttr("warm", warmF)
 		rsp.SetAttr("augpaths", float64(ma.Stats.AugmentingPaths))
 		rsp.SetAttr("phases", float64(ma.Stats.Phases))
-		rsp.SetAttr("levels", float64(ma.Stats.Levels))
+		rsp.SetAttr("labelings", float64(ma.Stats.Labelings))
 		rsp.SetAttr("supply_changed", float64(ma.Stats.SupplyChanged))
 
 		if best == nil || cur.NFOA < best.NFOA || (cur.NFOA == best.NFOA && cur.NF < best.NF) {

@@ -21,9 +21,20 @@
 //
 // Routing is phase-batched. Each phase runs one multi-source Dijkstra and
 // raises the potentials so every shortest path has zero reduced cost, then
-// routes that admissible subgraph as a Dinic-style blocking flow over
-// breadth-first level graphs, rebuilding the level graph until no deficit
-// is reachable.
+// routes that admissible subgraph with distance labels: one reverse
+// breadth-first search from the deficits labels every node with its
+// admissible-arc distance to the nearest deficit, and a current-arc search
+// from each source advances along arcs that descend one label, relabeling
+// the nodes it retreats from (with the gap rule) and redoing the exact
+// labeling only when the relabels have scanned as many arcs as the network
+// holds. Labels persist for the whole phase, so the admissible region is
+// not rescanned per augmenting path or per level.
+//
+// The extracted labels (Potentials) do not depend on how a phase routes:
+// every optimal flow's residual network spans the same optimal dual face,
+// so a different flow decomposition leaves them unchanged. After the first
+// solve they come from one Dijkstra on the maintained reduced costs;
+// Bellman–Ford runs only for the cold start, where costs may be negative.
 //
 // Capacities, costs, and supplies are float64, but callers that need
 // guaranteed termination and integral optima should supply integral values
@@ -93,17 +104,15 @@ type SolveStats struct {
 	// direct measure of work saved).
 	AugmentingPaths int
 	// Phases counts the multi-source Dijkstra searches run by this
-	// Resolve. Each phase settles every reachable deficit and then
-	// routes the admissible subgraph level graph by level graph, so (in
-	// exact arithmetic) Phases ≤ Levels and Phases ≤ AugmentingPaths,
-	// usually by a wide margin.
+	// Resolve. Each phase settles every reachable deficit and then routes
+	// the whole admissible subgraph, so (in exact arithmetic) Phases ≤
+	// AugmentingPaths, usually by a wide margin.
 	Phases int
-	// Levels counts the level graphs this Resolve routed: within a phase,
-	// a breadth-first search from the excess nodes over the admissible
-	// arcs labels every node with its depth, and a blocking flow then
-	// saturates every depth-increasing path to a deficit. The search is
-	// repeated until it reaches no deficit.
-	Levels int
+	// Labelings counts the exact distance labelings this Resolve ran: one
+	// reverse breadth-first search from the deficits in every phase that
+	// settles a deficit, plus one per global relabel (a phase whose
+	// relabels scanned more arcs than the network holds labels afresh).
+	Labelings int
 	// FlowReset is true when a warm solve dropped the previous flow: when
 	// most supplies changed, re-routing from zero through a clean residual
 	// beats threading the delta through the narrow reverse arcs the old
@@ -142,13 +151,17 @@ type Graph struct {
 	ctx     context.Context // consulted between routing phases; nil = never
 
 	// Per-phase scratch, reused across solves: Dijkstra labels and settled
-	// marks, then the level graph (level is a node's BFS depth, −1 when
-	// unreached or dead; cur is the current-arc pointer; queue is the BFS
-	// queue; stack holds the blocking-flow DFS path's arc positions).
+	// marks, then the distance labels (label is a lower bound on a node's
+	// admissible-arc distance to the nearest deficit, exact after each
+	// labeling, n when none is reachable; count[k]
+	// is the number of nodes labeled k, for the gap rule; cur is the
+	// current-arc pointer; queue is the labeling BFS queue; stack holds
+	// the routing search's path as arc positions).
 	dist    []float64
 	prevArc []int32
 	visited []bool
-	level   []int32
+	label   []int32
+	count   []int32
 	cur     []int32
 	srcs    []int32
 	queue   []int32
@@ -309,17 +322,18 @@ func (g *Graph) Resolve() (float64, error) {
 		sp.SetAttr("flow_reset", b2f(st.FlowReset))
 		sp.SetAttr("supply_changed", float64(st.SupplyChanged))
 		sp.SetAttr("phases", float64(st.Phases))
-		sp.SetAttr("levels", float64(st.Levels))
+		sp.SetAttr("labelings", float64(st.Labelings))
 		sp.SetAttr("augpaths", float64(st.AugmentingPaths))
 		sp.End()
 		reg := obs.FromContext(sctx).Registry()
 		reg.Counter("mcmf.phases").Add(int64(st.Phases))
-		reg.Counter("mcmf.levels").Add(int64(st.Levels))
+		reg.Counter("mcmf.labelings").Add(int64(st.Labelings))
 		reg.Counter("mcmf.augpaths").Add(int64(st.AugmentingPaths))
 	}()
 	if !g.inc {
 		g.inc = true
-		pot, err := g.Potentials()
+		g.freeze()
+		pot, err := g.bellmanFord()
 		if err != nil {
 			g.stats = st
 			return 0, err
@@ -375,9 +389,8 @@ func (g *Graph) flowCost() float64 {
 // with D the farthest settled deficit (the early-termination label update of
 // Ahuja–Magnanti–Orlin §9.7). After the update every shortest path consists
 // of zero-reduced-cost arcs, so the phase batch-routes that admissible
-// subgraph Dinic-style, one level graph at a time (levelize, blockingFlow):
-// augmenting only zero-reduced-cost arcs keeps the invariant (their
-// reverses are zero too).
+// subgraph with distance labels (admit): augmenting only zero-reduced-cost
+// arcs keeps the invariant (their reverses are zero too).
 //
 // The alternative — one Dijkstra per augmenting path, the classical SSP loop
 // — is what made reweighted LAC rounds expensive: reweighting leaves nearly
@@ -386,13 +399,7 @@ func (g *Graph) flowCost() float64 {
 // Phase batching routes the whole zero-cost region per search.
 func (g *Graph) route(ctx context.Context, st *SolveStats) error {
 	n := g.n
-	if len(g.dist) < n {
-		g.dist = make([]float64, n)
-		g.prevArc = make([]int32, n)
-		g.visited = make([]bool, n)
-		g.level = make([]int32, n)
-		g.cur = make([]int32, n)
-	}
+	g.ensureScratch()
 	dist, prevArc, visited := g.dist[:n], g.prevArc[:n], g.visited[:n]
 	arcs, start := g.arcs, g.start
 	for {
@@ -473,9 +480,9 @@ func (g *Graph) route(ctx context.Context, st *SolveStats) error {
 		}
 		// Settled deficits have distances ≤ D, so after the capped update
 		// every arc on their shortest-path trees has reduced cost exactly 0
-		// and stays shortest while the level graphs below route. D == 0
-		// (all deficits tied at zero) leaves every potential unchanged, so
-		// the O(n) pass is skipped.
+		// and stays shortest while admit routes. D == 0 (all deficits tied
+		// at zero) leaves every potential unchanged, so the O(n) pass is
+		// skipped.
 		if D > 0 {
 			for v := 0; v < n; v++ {
 				if dist[v] < D {
@@ -485,23 +492,20 @@ func (g *Graph) route(ctx context.Context, st *SolveStats) error {
 				}
 			}
 		}
-		// Route the admissible subgraph one level graph at a time until no
-		// deficit is reachable from the remaining excess; only then is a
-		// new Dijkstra — the expensive part of a phase — worth paying for.
-		for g.levelize() {
-			st.Levels++
-			g.blockingFlow(st)
-		}
+		// Route the admissible subgraph until no deficit is reachable from
+		// the remaining excess; only then is a new Dijkstra — the expensive
+		// part of a phase — worth paying for.
+		g.admit(st)
 		if st.AugmentingPaths > augBefore {
 			psp.SetAttr("augpaths", float64(st.AugmentingPaths-augBefore))
 			psp.End()
 			continue
 		}
 		// In exact arithmetic the nearest settled deficit's tree branch is
-		// admissible after the update, so the level graph reaches it. Only
-		// floating-point drift in the reduced costs can leave a phase that
-		// routed nothing; guarantee progress by augmenting that branch: no
-		// flow moved this phase, so it still has capacity and its root
+		// admissible after the update, so the labeling reaches its root.
+		// Only floating-point drift in the reduced costs can leave a phase
+		// that routed nothing; guarantee progress by augmenting that branch:
+		// no flow moved this phase, so it still has capacity and its root
 		// still has excess.
 		bottleneck := -g.excess[first]
 		v := int32(first)
@@ -533,6 +537,19 @@ func (g *Graph) route(ctx context.Context, st *SolveStats) error {
 	}
 }
 
+// ensureScratch sizes the per-node scratch arrays.
+func (g *Graph) ensureScratch() {
+	n := g.n
+	if len(g.dist) < n {
+		g.dist = make([]float64, n)
+		g.prevArc = make([]int32, n)
+		g.visited = make([]bool, n)
+		g.label = make([]int32, n)
+		g.count = make([]int32, n+1)
+		g.cur = make([]int32, n)
+	}
+}
+
 // b2f encodes a flag as a span attribute value.
 func b2f(v bool) float64 {
 	if v {
@@ -541,83 +558,174 @@ func b2f(v bool) float64 {
 	return 0
 }
 
-// levelize builds the next level graph: a breadth-first search from every
-// node with excess over admissible arcs (positive capacity, zero reduced
-// cost) labels each reached node with its depth (level), and −1 every
-// other node. Deficits are labeled but not expanded, and the search stops
-// once every deficit is labeled: no node labeled later could lead to one
-// along depth-increasing arcs. It resets the current-arc pointers and
-// reports whether a deficit was reached.
-func (g *Graph) levelize() bool {
+// admissible reports whether arc position i, leaving a node with potential
+// pv, is in the admissible subgraph: positive capacity, zero reduced cost.
+// The labeling, the routing search and relabel all decide admissibility
+// with this one expression, so they agree bit for bit.
+func (g *Graph) admissible(i int32, pv float64) bool {
+	a := &g.arcs[i]
+	return a.cap > Eps && a.cost+pv-g.pot[a.to] <= costEps
+}
+
+// labelEvent, when non-nil, is called with labelGap each time admit applies
+// the gap rule and with labelGlobal each time it runs a global relabel. It
+// is a test hook (see mcmf_test.go) that shows both fired.
+var labelEvent func(kind int)
+
+const (
+	labelGap = iota
+	labelGlobal
+)
+
+// labelAll computes exact distance labels with one reverse breadth-first
+// search from the deficits over the admissible arcs: label[v] is v's
+// admissible-arc distance to the nearest deficit. The search stops once
+// every node with excess is labeled and the level of the farthest one is
+// complete; the nodes still unlabeled are at least one level farther, so
+// they get that level + 1, a valid lower bound that relabel raises if the
+// routing search ever reaches them. When some excess node cannot reach a
+// deficit, the search runs out and the unlabeled nodes get n (unreachable).
+// It rebuilds the gap counts and resets the current-arc pointers.
+func (g *Graph) labelAll(st *SolveStats) {
+	st.Labelings++
 	n := g.n
-	level, arcs, start := g.level[:n], g.arcs, g.start
-	ndef := 0
-	for v := range level {
-		level[v] = -1
-		if g.excess[v] < -Eps {
-			ndef++
-		}
-	}
+	label, count, arcs, start := g.label[:n], g.count[:n+1], g.arcs, g.start
 	q := g.queue[:0]
-	for _, s := range g.srcs {
-		if g.excess[s] > Eps {
-			level[s] = 0
-			q = append(q, s)
+	left := 0
+	for v := range label {
+		label[v] = -1
+		switch {
+		case g.excess[v] < -Eps:
+			label[v] = 0
+			q = append(q, int32(v))
+		case g.excess[v] > Eps:
+			left++
 		}
 	}
-	left := ndef
-	for h := 0; h < len(q) && left > 0; h++ {
-		v := q[h]
-		next, pv := level[v]+1, g.pot[v]
-		for i := start[v]; i < start[v+1]; i++ {
-			a := &arcs[i]
-			if a.cap > Eps && level[a.to] < 0 && a.cost+pv-g.pot[a.to] <= costEps {
-				level[a.to] = next
-				if g.excess[a.to] < -Eps {
-					left--
-				} else {
-					q = append(q, a.to)
+	fill := int32(n)
+	for h := 0; h < len(q); h++ {
+		w := q[h]
+		next := label[w] + 1
+		if next >= fill {
+			break
+		}
+		for i := start[w]; i < start[w+1]; i++ {
+			u := arcs[i].to
+			if label[u] >= 0 {
+				continue
+			}
+			// The reverse half of w's arc i is the arc u→w.
+			if g.admissible(arcs[i].rev, g.pot[u]) {
+				label[u] = next
+				q = append(q, u)
+				if g.excess[u] > Eps {
+					if left--; left == 0 {
+						fill = next + 1
+					}
 				}
 			}
 		}
 	}
 	g.queue = q
+	for k := range count {
+		count[k] = 0
+	}
+	for v, d := range label {
+		if d < 0 {
+			d = fill
+			label[v] = d
+		}
+		count[d]++
+	}
 	copy(g.cur[:n], start)
-	return left < ndef
 }
 
-// blockingFlow routes every source's excess through the current level
-// graph along depth-increasing admissible arcs until no deficit is
-// reachable in it.
+// relabel raises the label of v, which has no admissible arc left that
+// descends one label, to one more than the lowest label among its
+// admissible arcs' heads (n when there is none or that is n − 1), and
+// points its current arc at the first arc achieving it: arcs before it
+// cannot become admissible-and-descending until v is relabeled again,
+// because augmentations only open arcs that climb a label. If v was the
+// last node at its old label, the gap rule applies: every node above the
+// gap can reach a deficit only through that label, so all of them get n.
+// It returns the number of arcs it scanned.
+func (g *Graph) relabel(v int32) int {
+	n := int32(g.n)
+	label, count := g.label, g.count
+	lo, hi := g.start[v], g.start[v+1]
+	low, c, pv := n-1, hi, g.pot[v]
+	for i := lo; i < hi; i++ {
+		if d := label[g.arcs[i].to]; d < low && g.admissible(i, pv) {
+			low, c = d, i
+		}
+	}
+	old := label[v]
+	g.cur[v] = c
+	label[v] = low + 1
+	count[old]--
+	count[low+1]++
+	if count[old] == 0 {
+		if labelEvent != nil {
+			labelEvent(labelGap)
+		}
+		for u, d := range label[:n] {
+			if d > old && d < n {
+				count[d]--
+				count[n]++
+				label[u] = n
+			}
+		}
+	}
+	return int(hi - lo)
+}
+
+// admit routes every source's excess through the admissible subgraph until
+// no deficit is reachable from any of them.
 //
-// The search is a current-arc DFS. A node it retreats from has no
-// depth-increasing admissible arc left, and it gets level −1 for the rest
-// of this level graph: augmentations only create reverse arcs, which lead
-// one level back toward the sources, so nothing can revive it. The dead
-// marks are therefore exact, and no arc is rescanned after it was
-// rejected.
-func (g *Graph) blockingFlow(st *SolveStats) {
-	arcs, start, level, cur := g.arcs, g.start, g.level, g.cur
+// It starts from an exact labeling (labelAll) and keeps the labels valid
+// for the whole phase: label[v] ≤ label[w] + 1 on every admissible arc
+// v→w, with deficits at 0, so label[v] is a lower bound on v's distance to
+// a deficit and n means none is reachable. From each source a current-arc
+// search advances along admissible arcs that descend one label and
+// augments on reaching a deficit; a node it retreats from is relabeled.
+// Augmenting only opens reverse arcs, which climb a label, so the labels
+// stay valid without rescans. When the relabels have scanned more arcs
+// since the last labeling than the network holds — about what one exact
+// labeling costs — the lower bounds have drifted far enough that an exact
+// labeling is cheaper: admit relabels globally and restarts the search at
+// the current source. Sources are always labeled exactly, and a source
+// labeled n stays unable to reach a deficit, so one pass over the sources
+// routes everything routable.
+func (g *Graph) admit(st *SolveStats) {
+	g.labelAll(st)
+	n := int32(g.n)
+	arcs, start, label, cur := g.arcs, g.start, g.label, g.cur
+	scans := 0
 	stack := g.stack[:0]
 	for _, s := range g.srcs {
-		if level[s] != 0 {
-			continue // no excess when levelized, or dead
-		}
 		stack = stack[:0]
 		v := s
-		for g.excess[s] > Eps {
-			next, pv := level[v]+1, g.pot[v]
+		for g.excess[s] > Eps && label[s] < n {
+			down, pv := label[v]-1, g.pot[v]
 			i, end := cur[v], start[v+1]
 			for ; i < end; i++ {
-				if a := &arcs[i]; a.cap > Eps && level[a.to] == next && a.cost+pv-g.pot[a.to] <= costEps {
+				if label[arcs[i].to] == down && g.admissible(i, pv) {
 					break
 				}
 			}
 			cur[v] = i
 			if i == end {
-				level[v] = -1
+				if scans += g.relabel(v); scans > len(arcs) {
+					if labelEvent != nil {
+						labelEvent(labelGlobal)
+					}
+					g.labelAll(st)
+					scans = 0
+					stack, v = stack[:0], s
+					continue
+				}
 				if len(stack) == 0 {
-					break
+					continue // v is s; the loop rechecks its label
 				}
 				stack = stack[:len(stack)-1]
 				if len(stack) == 0 {
@@ -634,7 +742,8 @@ func (g *Graph) blockingFlow(st *SolveStats) {
 				continue
 			}
 			// Augment, then resume at the tail of the first arc the
-			// bottleneck saturated, or beyond w when only excesses ran out.
+			// bottleneck saturated, or at w when only excesses ran out (a
+			// satisfied w is then relabeled off its label 0).
 			if k := g.augment(s, w, stack, st); k < len(stack) {
 				v = g.tail(stack[k])
 				stack = stack[:k]
@@ -700,8 +809,66 @@ var augmentCheck func(g *Graph, pot []float64)
 // optimal dual face — the same for every optimal flow — these distances are
 // canonical: a warm-started and a cold solve extract identical labels even
 // when their flows differ among ties.
+//
+// Before the first Resolve the arc costs may be negative, so this runs
+// Bellman–Ford. After it, the maintained potentials keep every residual
+// reduced cost nonnegative, so one Dijkstra on reduced costs from the
+// virtual root gives the same distances: the root's arc to v has reduced
+// cost pmax − pot[v] with pmax the largest potential, and a reduced
+// distance key converts back as key − pmax + pot[v]. With integral costs
+// and potentials every step is exact, so both methods agree bit for bit.
 func (g *Graph) Potentials() ([]float64, error) {
 	g.freeze()
+	if g.pot == nil {
+		return g.bellmanFord()
+	}
+	n := g.n
+	g.ensureScratch()
+	arcs, start, pot, done := g.arcs, g.start, g.pot, g.visited[:n]
+	pmax := math.Inf(-1)
+	for _, p := range pot {
+		pmax = math.Max(pmax, p)
+	}
+	key := make([]float64, n)
+	g.heap.reset()
+	for v := range key {
+		key[v] = pmax - pot[v]
+		done[v] = false
+		g.heap.items = append(g.heap.items, pqItem{v: v, dist: key[v]})
+	}
+	g.heap.init()
+	for g.heap.len() > 0 {
+		it := g.heap.pop()
+		if done[it.v] {
+			continue
+		}
+		done[it.v] = true
+		pv := pot[it.v]
+		for i := start[it.v]; i < start[it.v+1]; i++ {
+			a := &arcs[i]
+			if a.cap <= Eps || done[a.to] {
+				continue
+			}
+			rc := a.cost + pv - pot[a.to]
+			if rc < 0 {
+				rc = 0 // floating-point drift, as in route
+			}
+			if nd := it.dist + rc; nd < key[a.to]-costEps {
+				key[a.to] = nd
+				g.heap.push(pqItem{v: int(a.to), dist: nd})
+			}
+		}
+	}
+	for v := range key {
+		key[v] = key[v] - pmax + pot[v]
+	}
+	return key, nil
+}
+
+// bellmanFord computes Potentials' distances with Bellman–Ford passes,
+// which handle negative arc costs and detect a negative cycle. It runs for
+// the cold start, before any potentials exist.
+func (g *Graph) bellmanFord() ([]float64, error) {
 	arcs, start := g.arcs, g.start
 	dist := make([]float64, g.n)
 	var changed bool
@@ -747,6 +914,13 @@ func (h *pqHeap) less(i, j int) bool {
 	return a.dist < b.dist || (a.dist == b.dist && a.v < b.v)
 }
 
+// init orders items appended directly to h.items into a heap in O(len).
+func (h *pqHeap) init() {
+	for i := len(h.items)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
 func (h *pqHeap) push(it pqItem) {
 	h.items = append(h.items, it)
 	i := len(h.items) - 1
@@ -765,7 +939,12 @@ func (h *pqHeap) pop() pqItem {
 	last := len(h.items) - 1
 	h.items[0] = h.items[last]
 	h.items = h.items[:last]
-	i := 0
+	h.down(0)
+	return top
+}
+
+// down sifts the item at i toward the leaves until the heap order holds.
+func (h *pqHeap) down(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
@@ -776,7 +955,7 @@ func (h *pqHeap) pop() pqItem {
 			smallest = r
 		}
 		if smallest == i {
-			return top
+			return
 		}
 		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
 		i = smallest

@@ -176,17 +176,51 @@ func TestPotentialsFeasibility(t *testing.T) {
 	}
 }
 
+// arcSpec is one arc of a brute-forced network.
+type arcSpec struct {
+	from, to int
+	cap      int
+	cost     float64
+}
+
+// bruteMinCost enumerates every integral flow on a tiny network and returns
+// the least cost of one that routes supply, or +Inf when none does.
+func bruteMinCost(n int, specs []arcSpec, supply []float64) float64 {
+	best := math.Inf(1)
+	flows := make([]int, len(specs))
+	var rec func(k int)
+	rec = func(k int) {
+		if k == len(specs) {
+			net := make([]float64, n)
+			c := 0.0
+			for i, s := range specs {
+				net[s.from] += float64(flows[i])
+				net[s.to] -= float64(flows[i])
+				c += float64(flows[i]) * s.cost
+			}
+			for v := range net {
+				if net[v] != supply[v] {
+					return
+				}
+			}
+			best = math.Min(best, c)
+			return
+		}
+		for f := 0; f <= specs[k].cap; f++ {
+			flows[k] = f
+			rec(k + 1)
+		}
+	}
+	rec(0)
+	return best
+}
+
 // TestRandomAgainstBruteForce compares SSP against exhaustive enumeration of
 // integral flows on tiny networks.
 func TestRandomAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {
 		n := 3 + rng.Intn(3)
-		type arcSpec struct {
-			from, to int
-			cap      int
-			cost     float64
-		}
 		var specs []arcSpec
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -208,53 +242,10 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 		supply[dst] = -float64(amount)
 		got, err := solve(g, supply)
 
-		// Brute force over integral arc flows via recursion with
-		// conservation checking (small sizes only).
-		best := math.Inf(1)
-		flows := make([]int, len(specs))
-		var rec func(k int)
-		rec = func(k int) {
-			if k == len(specs) {
-				// Check conservation.
-				for v := 0; v < n; v++ {
-					net := 0
-					for i, s := range specs {
-						if s.from == v {
-							net += flows[i]
-						}
-						if s.to == v {
-							net -= flows[i]
-						}
-					}
-					want := 0
-					if v == src {
-						want = amount
-					} else if v == dst {
-						want = -amount
-					}
-					if net != want {
-						return
-					}
-				}
-				c := 0.0
-				for i, s := range specs {
-					c += float64(flows[i]) * s.cost
-				}
-				if c < best {
-					best = c
-				}
-				return
-			}
-			for f := 0; f <= specs[k].cap; f++ {
-				flows[k] = f
-				rec(k + 1)
-			}
-		}
-		if len(specs) <= 12 {
-			rec(0)
-		} else {
+		if len(specs) > 12 {
 			continue
 		}
+		best := bruteMinCost(n, specs, supply)
 		if math.IsInf(best, 1) {
 			if err == nil {
 				t.Fatalf("trial %d: brute force infeasible but solver returned %g", trial, got)
@@ -634,8 +625,8 @@ func TestResolveSequenceProperties(t *testing.T) {
 			if round > 0 && (!st.Warm || st.FlowReset != (4*st.SupplyChanged >= n)) {
 				t.Fatalf("trial %d round %d: stats %+v", trial, round, st)
 			}
-			if st.Levels < st.Phases {
-				t.Fatalf("trial %d round %d: %d level graphs in %d phases", trial, round, st.Levels, st.Phases)
+			if st.Labelings < st.Phases {
+				t.Fatalf("trial %d round %d: %d labelings in %d phases", trial, round, st.Labelings, st.Phases)
 			}
 			net := make([]float64, n)
 			var sum float64
@@ -670,5 +661,129 @@ func TestResolveSequenceProperties(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// residualBellmanFord is the test-side reference for Potentials: plain
+// Bellman–Ford from a zero-cost virtual root over the residual arcs.
+func residualBellmanFord(g *Graph) []float64 {
+	dist := make([]float64, g.n)
+	for changed := true; changed; {
+		changed = false
+		for v := 0; v < g.n; v++ {
+			for i := g.start[v]; i < g.start[v+1]; i++ {
+				if a := g.arcs[i]; a.cap > Eps && dist[v]+a.cost < dist[a.to] {
+					dist[a.to] = dist[v] + a.cost
+					changed = true
+				}
+			}
+		}
+	}
+	return dist
+}
+
+// TestPotentialsEqualResidualBellmanFord drives random networks — with
+// negative arc costs but no negative cycle — through sequences of delta
+// and global supply changes (the global ones reset the flow). After every
+// Resolve, the Dijkstra extraction in Potentials must equal a Bellman–Ford
+// over the residual arcs exactly.
+func TestPotentialsEqualResidualBellmanFord(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	resets := 0
+	for trial := 0; trial < 60; trial++ {
+		n := 5 + rng.Intn(20)
+		// Costs c + φ(u) − φ(v) with c ≥ 0 are often negative, but every
+		// cycle costs Σc ≥ 0.
+		phi := make([]float64, n)
+		for v := range phi {
+			phi[v] = float64(rng.Intn(9))
+		}
+		g := New(n)
+		for v := 0; v < n; v++ {
+			g.AddArc(v, (v+1)%n, Inf, float64(2+rng.Intn(3))+phi[v]-phi[(v+1)%n])
+		}
+		for k := 3 * n; k > 0; k-- {
+			u, v := rng.Intn(n), rng.Intn(n)
+			capacity := float64(1 + rng.Intn(4))
+			if rng.Float64() < 0.2 {
+				capacity = Inf
+			}
+			g.AddArc(u, v, capacity, float64(rng.Intn(6))+phi[u]-phi[v])
+		}
+		supply := make([]float64, n)
+		for round := 0; round < 8; round++ {
+			if round == 0 || rng.Float64() < 0.4 {
+				for v := range supply {
+					supply[v] = 0
+				}
+			}
+			for k := 1 + rng.Intn(n); k > 0; k-- {
+				u, v := rng.Intn(n), rng.Intn(n)
+				d := float64(1 + rng.Intn(3))
+				supply[u] += d
+				supply[v] -= d
+			}
+			if _, err := solve(g, supply); err != nil {
+				t.Fatalf("trial %d round %d: %v", trial, round, err)
+			}
+			if g.Stats().FlowReset {
+				resets++
+			}
+			pot, err := g.Potentials()
+			if err != nil {
+				t.Fatalf("trial %d round %d: potentials: %v", trial, round, err)
+			}
+			want := residualBellmanFord(g)
+			for v := range pot {
+				if pot[v] != want[v] {
+					t.Fatalf("trial %d round %d: pot[%d] %g, Bellman–Ford %g", trial, round, v, pot[v], want[v])
+				}
+			}
+		}
+	}
+	if resets == 0 {
+		t.Fatal("no solve reset its flow")
+	}
+}
+
+// TestGapAndGlobalRelabel routes a staircase: source s (supply 3) reaches
+// deficit t (demand 1) in one arc and deficit t2 (demand 2) through a
+// six-node chain x1…x6 or, at cost 1, directly. The first labeling stops
+// once s is labeled, so x1…x5 get the lower bound 2; after s fills t, the
+// search climbs the chain one relabel at a time until the relabel scans
+// outgrow the arc array and the exact labeling reruns. The chain then
+// carries one unit, saturating s→x1, and s, the only node at its label,
+// is relabeled off it: the gap rule fires and takes the node above it (t,
+// reached back through its reverse arc) along. The last unit goes direct.
+func TestGapAndGlobalRelabel(t *testing.T) {
+	const s, t1, t2, x1, k = 0, 1, 2, 3, 6
+	specs := []arcSpec{{s, t1, 1, 0}, {s, x1, 1, 0}, {s, t2, 2, 1}}
+	for i := 0; i+1 < k; i++ {
+		specs = append(specs, arcSpec{x1 + i, x1 + i + 1, 1, 0})
+	}
+	specs = append(specs, arcSpec{x1 + k - 1, t2, 1, 0})
+	n := x1 + k
+	supply := make([]float64, n)
+	supply[s], supply[t1], supply[t2] = 3, -1, -2
+
+	fired := map[int]int{}
+	defer func() { labelEvent = nil }()
+	labelEvent = func(kind int) { fired[kind]++ }
+	g := New(n)
+	for _, a := range specs {
+		g.AddArc(a.from, a.to, float64(a.cap), a.cost)
+	}
+	cost, err := solve(g, supply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fired[labelGap] == 0 || fired[labelGlobal] == 0 {
+		t.Fatalf("gap rule fired %d times, global relabel %d times; want both", fired[labelGap], fired[labelGlobal])
+	}
+	if st := g.Stats(); st.Labelings <= st.Phases {
+		t.Fatalf("stats %+v: the global relabel is not counted", st)
+	}
+	if want := bruteMinCost(n, specs, supply); cost != want {
+		t.Fatalf("cost %g, brute force %g", cost, want)
 	}
 }

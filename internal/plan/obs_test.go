@@ -202,36 +202,36 @@ func TestPlanObserved(t *testing.T) {
 	}
 
 	// The min-area baseline is one flow solve, so its stage holds exactly
-	// one mcmf-solve span. Every solve span carries its level-graph count,
+	// one mcmf-solve span. Every solve span carries its labeling count,
 	// and the spans, the registry and the two retiming stages' counters
 	// agree on the total.
 	if n := countSpans(sub["minarea"], "mcmf-solve"); n != 1 {
 		t.Errorf("minarea stage has %d mcmf-solve sub-spans, want 1", n)
 	}
-	spanLevels, stageLevels := 0.0, 0.0
+	spanLabelings, stageLabelings := 0.0, 0.0
 	for _, stage := range []string{"minarea", "lac"} {
 		forEachSpan(sub[stage], "mcmf-solve", func(sp *obs.Span) {
-			v, ok := sp.Attr("levels")
+			v, ok := sp.Attr("labelings")
 			if !ok {
-				t.Errorf("%s: mcmf-solve span missing levels attr", stage)
+				t.Errorf("%s: mcmf-solve span missing labelings attr", stage)
 			}
-			spanLevels += v
+			spanLabelings += v
 		})
 	}
 	for _, ev := range res.Trace {
 		for _, c := range ev.Counters {
-			if c.Name == "levels" && (ev.Stage == "minarea" || ev.Stage == "lac") {
-				stageLevels += c.Value
+			if c.Name == "labelings" && (ev.Stage == "minarea" || ev.Stage == "lac") {
+				stageLabelings += c.Value
 			}
 		}
 	}
-	if got := rec.Registry().Snapshot().Counters["mcmf.levels"]; got == 0 || float64(got) != spanLevels || spanLevels != stageLevels {
-		t.Errorf("levels: counter %d, spans %g, stage counters %g", got, spanLevels, stageLevels)
+	if got := rec.Registry().Snapshot().Counters["mcmf.labelings"]; got == 0 || float64(got) != spanLabelings || spanLabelings != stageLabelings {
+		t.Errorf("labelings: counter %d, spans %g, stage counters %g", got, spanLabelings, stageLabelings)
 	}
 
 	// The shared registry accumulated the work counters.
 	snap := rec.Registry().Snapshot()
-	for _, name := range []string{"retime.probes", "route.rounds", "lac.rounds", "mcmf.phases", "mcmf.levels", "mcmf.augpaths"} {
+	for _, name := range []string{"retime.probes", "route.rounds", "lac.rounds", "mcmf.phases", "mcmf.labelings", "mcmf.augpaths"} {
 		if snap.Counters[name] == 0 {
 			t.Errorf("counter %s is zero after an observed plan", name)
 		}

@@ -163,14 +163,14 @@ func (minAreaStage) Counters(st *PlanState) []Counter {
 	for _, it := range st.Result.MinArea.Iters {
 		aug += it.AugPaths
 		ph += it.Phases
-		lv += it.Levels
+		lv += it.Labelings
 	}
 	return []Counter{
 		{"nfoa", float64(st.Result.MinArea.NFOA)},
 		{"nf", float64(st.Result.MinArea.NF)},
 		{"augpaths", float64(aug)},
 		{"phases", float64(ph)},
-		{"levels", float64(lv)},
+		{"labelings", float64(lv)},
 	}
 }
 
@@ -210,14 +210,14 @@ func (lacStage) Counters(st *PlanState) []Counter {
 	}
 	// Incremental-engine telemetry: how many rounds reused the previous
 	// solver state, and the total augmenting paths, search phases and
-	// level graphs across the loop (each phase batch-routes the whole
+	// distance labelings across the loop (each phase batch-routes the whole
 	// admissible subgraph, so phases ≪ augpaths measures how well batching
 	// worked).
 	var aug, ph, lv, warm int
 	for _, it := range st.Result.LAC.Iters {
 		aug += it.AugPaths
 		ph += it.Phases
-		lv += it.Levels
+		lv += it.Labelings
 		if it.Warm {
 			warm++
 		}
@@ -229,6 +229,6 @@ func (lacStage) Counters(st *PlanState) []Counter {
 		{"warm", float64(warm)},
 		{"augpaths", float64(aug)},
 		{"phases", float64(ph)},
-		{"levels", float64(lv)},
+		{"labelings", float64(lv)},
 	}
 }
