@@ -22,7 +22,6 @@ import (
 	"lacret/internal/core"
 	"lacret/internal/experiments"
 	"lacret/internal/plan"
-	"lacret/internal/retime"
 	"lacret/internal/tile"
 )
 
@@ -178,14 +177,13 @@ func BenchmarkSharingModel(b *testing.B) {
 }
 
 // BenchmarkConstraintGeneration times generation at Tclk the way the
-// constraints stage runs it: a fresh source floored at Tclk, its rows
-// swept once across GOMAXPROCS workers.
+// constraints stage runs it: one pass of pruned per-source sweeps across
+// GOMAXPROCS workers.
 func BenchmarkConstraintGeneration(b *testing.B) {
 	r := plannedCircuit(b, "s953")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src := retime.NewLazySource(r.Graph, r.Tclk, 0)
-		if _, err := r.Graph.BuildConstraints(r.Tclk, src); err != nil {
+		if _, err := r.Graph.BuildConstraints(context.Background(), r.Tclk); err != nil {
 			b.Fatal(err)
 		}
 	}

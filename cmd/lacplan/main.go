@@ -244,10 +244,9 @@ func formatProbe(p retime.ProbeStats) string {
 		p.Probes, p.Warm, p.WitnessRejects, p.BoundRejects, p.PairsScanned, p.Cuts, p.CutRounds)
 }
 
-// formatProbeMem renders the constraint source's cache and sweep counters.
+// formatProbeMem renders the sweep counts of constraint generation.
 func formatProbeMem(mem retime.SourceMem) string {
-	return fmt.Sprintf("%d sweeps, %d abandoned, cache %d rows / %d pairs, %d evictions, %d hits",
-		mem.Sweeps, mem.Abandoned, mem.CachedRows, mem.CachedPairs, mem.Evictions, mem.Hits)
+	return fmt.Sprintf("%d (%d abandoned)", mem.Sweeps, mem.Abandoned)
 }
 
 func report(res *plan.Result, tilemap, verbose bool) {
@@ -263,7 +262,7 @@ func report(res *plan.Result, tilemap, verbose bool) {
 	if res.Probe.Probes > 0 {
 		fmt.Printf("period probes: %s\n", formatProbe(res.Probe))
 	}
-	fmt.Printf("constraint source: %s\n", formatProbeMem(res.ProbeMem))
+	fmt.Printf("constraint sweeps: %s\n", formatProbeMem(res.ProbeMem))
 	if res.TminLo > 0 {
 		fmt.Printf("period search truncated at budget: true Tmin in (%.3f, %.3f] ns (bracket width %.3f ns)\n",
 			res.TminLo, res.Tmin, res.Tmin-res.TminLo)

@@ -46,17 +46,17 @@ type Problem struct {
 	FFArea float64
 	// Constraints optionally supplies a prebuilt constraint system for
 	// Graph at Tclk (the planner's, generated once per §4.2); when nil,
-	// it is built through a one-shot constraint source.
+	// it is built on demand.
 	Constraints *retime.Constraints
 }
 
 // constraints returns the prebuilt constraint system, or builds one at Tclk
-// through a one-shot source when none is attached.
+// when none is attached.
 func (p *Problem) constraints() (*retime.Constraints, error) {
 	if p.Constraints != nil {
 		return p.Constraints, nil
 	}
-	return p.Graph.BuildConstraints(p.Tclk, nil)
+	return p.Graph.BuildConstraints(context.Background(), p.Tclk)
 }
 
 // Options tunes the LAC loop.

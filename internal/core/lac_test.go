@@ -208,7 +208,7 @@ func TestProblemValidation(t *testing.T) {
 
 func TestConstraintReuse(t *testing.T) {
 	p := tightLoose()
-	cs, err := p.Graph.BuildConstraints(p.Tclk, nil)
+	cs, err := p.Graph.BuildConstraints(context.Background(), p.Tclk)
 	if err != nil {
 		t.Fatal(err)
 	}

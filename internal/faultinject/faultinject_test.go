@@ -138,7 +138,7 @@ func TestMinPeriodBracketInvariant(t *testing.T) {
 	}
 	rg := res.Graph
 	feasible := func(T float64) bool {
-		cs, err := rg.BuildConstraints(T, nil)
+		cs, err := rg.BuildConstraints(context.Background(), T)
 		if err != nil {
 			return false
 		}

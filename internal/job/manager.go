@@ -12,7 +12,6 @@ import (
 
 	"lacret/internal/obs"
 	"lacret/internal/plan"
-	"lacret/internal/retime"
 )
 
 // ErrShutdown is returned by Submit once Shutdown has begun.
@@ -259,7 +258,7 @@ func Open(opts Options) (*Manager, error) {
 		hRunDur:    reg.Histogram("job.run_ms", obs.DurationBucketsMS),
 	}
 	m.mem = newMemGovernor(resolveMemLimit(opts.MaxMemBytes), opts.MemHighWater,
-		opts.ReadHeap, m.shedCachesLocked, m.restoreCachesLocked, reg, m.log)
+		opts.ReadHeap, m.shedCachesLocked, reg, m.log)
 
 	if m.log != nil && store != nil {
 		// The replay/compaction summary: what the WAL yielded and what the
@@ -320,21 +319,13 @@ func idSeq(id string) int {
 	return 0
 }
 
-// shedCachesLocked is the memory governor's pressure hook: scale the lazy
-// engines' row caches down hard and drop the older half of the report
-// cache. Both are pure optimizations, so shedding never changes results.
-// Called with m.mu held (the governor only runs inside Submit).
+// shedCachesLocked is the memory governor's pressure hook: drop the older
+// half of the report cache. The cache is a pure optimization, so shedding
+// never changes results, and it refills on its own once the pressure
+// clears. Called with m.mu held (the governor only runs inside Submit).
 func (m *Manager) shedCachesLocked() {
-	retime.SetLazyCacheScale(10)
 	m.cache.trim(m.cache.len() / 2)
 	m.gCacheEntries.Set(float64(m.cache.len()))
-}
-
-// restoreCachesLocked undoes the shed once the heap is back under the
-// low-water mark. The report cache refills on its own; only the scale
-// comes back.
-func (m *Manager) restoreCachesLocked() {
-	retime.SetLazyCacheScale(100)
 }
 
 // persistTerminal is the Job.persist hook: settle the job in the store.

@@ -32,23 +32,22 @@ func (e *ErrMemoryPressure) Error() string {
 // to finish.
 const defaultMemHighWater = 0.85
 
-// memLowWaterRatio scales the high-water mark down to the restore
-// threshold: once the heap falls below it the shed caches get their full
-// budgets back. The hysteresis gap keeps the governor from flapping the
-// cache scale on every submission around the boundary.
+// memLowWaterRatio scales the high-water mark down to the recovery
+// threshold: once the heap falls below it the governor leaves the
+// shedding state, and the next crossing of the high-water mark sheds
+// again. The hysteresis gap keeps the governor (and the /readyz state it
+// feeds) from flapping on every submission around the boundary.
 const memLowWaterRatio = 0.7
 
 // memGovernor is the admission controller under memory pressure. It
 // compares the live heap against a memory limit on every submission,
-// sheds the process's discretionary caches (the lazy engine's row caches,
-// the manager's report cache) at the high-water mark, and rejects when
-// shedding is not enough. All methods are safe for concurrent use.
+// sheds the manager's report cache at the high-water mark, and rejects
+// when shedding is not enough. All methods are safe for concurrent use.
 type memGovernor struct {
 	limit     uint64
 	highWater float64
 	readHeap  func() uint64
 	shed      func()
-	restore   func()
 	log       *slog.Logger // nil = logging disabled
 
 	mu       sync.Mutex
@@ -81,9 +80,9 @@ func liveHeap() uint64 {
 }
 
 // newMemGovernor builds the governor, or returns nil when no limit
-// applies (admission control disabled). shed and restore are the cache
-// hooks the manager provides; log is the manager's logger (nil disabled).
-func newMemGovernor(limit uint64, highWater float64, readHeap func() uint64, shed, restore func(), reg *obs.Registry, log *slog.Logger) *memGovernor {
+// applies (admission control disabled). shed is the cache hook the
+// manager provides; log is the manager's logger (nil disabled).
+func newMemGovernor(limit uint64, highWater float64, readHeap func() uint64, shed func(), reg *obs.Registry, log *slog.Logger) *memGovernor {
 	if limit == 0 {
 		return nil
 	}
@@ -95,7 +94,7 @@ func newMemGovernor(limit uint64, highWater float64, readHeap func() uint64, she
 	}
 	g := &memGovernor{
 		limit: limit, highWater: highWater, readHeap: readHeap,
-		shed: shed, restore: restore, log: log,
+		shed: shed, log: log,
 		cShed:     reg.Counter("job.mem_shed"),
 		cRejected: reg.Counter("job.mem_rejected"),
 		gHeap:     reg.Gauge("job.heap_bytes"),
@@ -107,8 +106,8 @@ func newMemGovernor(limit uint64, highWater float64, readHeap func() uint64, she
 
 // admit gates one submission. Above the high-water mark it sheds the
 // caches, forces a collection, and re-reads the heap; still above means
-// rejection with *ErrMemoryPressure. Below the low-water mark the shed
-// caches are restored.
+// rejection with *ErrMemoryPressure. Below the low-water mark the governor
+// leaves the shedding state.
 func (g *memGovernor) admit() error {
 	heap := g.readHeap()
 	g.gHeap.Set(float64(heap))
@@ -120,11 +119,8 @@ func (g *memGovernor) admit() error {
 	if heap < high {
 		if g.shedding && heap < low {
 			g.shedding = false
-			if g.restore != nil {
-				g.restore()
-			}
 			if g.log != nil {
-				g.log.Info("memory pressure cleared: caches restored",
+				g.log.Info("memory pressure cleared",
 					slog.Uint64("heap", heap), slog.Uint64("limit", g.limit))
 			}
 		}
@@ -158,7 +154,7 @@ func (g *memGovernor) admit() error {
 }
 
 // isShedding reports whether the governor is currently between the shed
-// and restore thresholds — the degraded state the readiness probe exposes.
+// and recovery thresholds — the degraded state the readiness probe exposes.
 func (g *memGovernor) isShedding() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -5,17 +5,14 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-
-	"lacret/internal/retime"
 )
 
 // TestMemoryPressureAdmission drives the governor with a fake heap probe:
-// submissions above the high-water mark shed the lazy-source row caches
-// (global scale drops to its floor) and are rejected with a retryable
-// error; once the heap falls below the low-water mark the caches get
-// their budgets back and submissions flow again.
+// submissions above the high-water mark shed the report cache (the
+// governor enters its shedding state) and are rejected with a retryable
+// error; once the heap falls below the low-water mark the governor leaves
+// that state and submissions flow again.
 func TestMemoryPressureAdmission(t *testing.T) {
-	defer retime.SetLazyCacheScale(100)
 	var heap atomic.Uint64
 	heap.Store(500)
 	// Limit 1000 → high water 850, low water 595.
@@ -31,8 +28,8 @@ func TestMemoryPressureAdmission(t *testing.T) {
 		t.Fatalf("submit below high water: %v", err)
 	}
 	waitJob(t, j1)
-	if got := retime.LazyCacheScale(); got != 100 {
-		t.Fatalf("cache scale %d before any pressure, want 100", got)
+	if m.mem.isShedding() {
+		t.Fatal("shedding before any pressure")
 	}
 
 	heap.Store(900)
@@ -44,8 +41,8 @@ func TestMemoryPressureAdmission(t *testing.T) {
 	if mp.Heap != 900 || mp.Limit != 1000 || mp.RetryAfter <= 0 {
 		t.Fatalf("pressure detail = %+v", mp)
 	}
-	if got := retime.LazyCacheScale(); got != 10 {
-		t.Fatalf("cache scale %d under pressure, want shed to 10", got)
+	if !m.mem.isShedding() {
+		t.Fatal("not shedding under pressure")
 	}
 	if got := m.Stats().MemRejected; got != 1 {
 		t.Fatalf("MemRejected = %d, want 1", got)
@@ -59,26 +56,26 @@ func TestMemoryPressureAdmission(t *testing.T) {
 		t.Fatalf("job.mem_shed = %d after two rejections, want 1", got)
 	}
 
-	// Between low (595) and high (850): admitted, but caches stay shed.
+	// Between low (595) and high (850): admitted, but still shedding.
 	heap.Store(700)
 	j2, err := m.Submit(testReq("s1269"))
 	if err != nil {
 		t.Fatalf("submit in hysteresis band: %v", err)
 	}
 	waitJob(t, j2)
-	if got := retime.LazyCacheScale(); got != 10 {
-		t.Fatalf("cache scale %d in hysteresis band, want still 10", got)
+	if !m.mem.isShedding() {
+		t.Fatal("stopped shedding in hysteresis band")
 	}
 
-	// Below low water: restored.
+	// Below low water: recovered.
 	heap.Store(500)
 	j3, err := m.Submit(testReq("s5378"))
 	if err != nil {
 		t.Fatalf("submit after recovery: %v", err)
 	}
 	waitJob(t, j3)
-	if got := retime.LazyCacheScale(); got != 100 {
-		t.Fatalf("cache scale %d after recovery, want restored 100", got)
+	if m.mem.isShedding() {
+		t.Fatal("still shedding after recovery")
 	}
 	if got := m.Stats().MemRejected; got != 2 {
 		t.Fatalf("MemRejected = %d at end, want 2", got)

@@ -1,13 +1,14 @@
 package plan
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"testing"
 
 	"lacret/internal/bench89"
 	"lacret/internal/core"
-	"lacret/internal/retime"
 )
 
 // TestPlanGoldenS400Engine pins what TestPlanGoldenS400 does not: the
@@ -58,7 +59,7 @@ func TestPlanGoldenS400Engine(t *testing.T) {
 }
 
 // TestProblemRegeneratesConstraints: a core Problem without a prebuilt
-// constraint system regenerates it through a one-shot source, and the
+// constraint system regenerates it at Tclk, and the
 // regenerated system reproduces the planned min-area baseline.
 func TestProblemRegeneratesConstraints(t *testing.T) {
 	nl := smallCircuit(t)
@@ -78,4 +79,44 @@ func TestProblemRegeneratesConstraints(t *testing.T) {
 	}
 }
 
-var _ retime.ConstraintSource = (*retime.LazySource)(nil)
+// cancelOnRun cancels the pass's context as its stage starts, so the
+// wrapped stage runs under an already-cancelled context.
+type cancelOnRun struct {
+	Stage
+	cancel context.CancelFunc
+}
+
+func (c cancelOnRun) Run(ctx context.Context, st *PlanState, cfg *Config) error {
+	c.cancel()
+	return c.Stage.Run(ctx, st, cfg)
+}
+
+// TestConstraintsStageCancelled: cancelling the pass while the constraints
+// stage runs fails that stage with an error wrapping context.Canceled, not
+// with ErrTclkInfeasible (Tclk was never shown infeasible).
+func TestConstraintsStageCancelled(t *testing.T) {
+	cfg := Config{Seed: 1}
+	st, err := NewState(smallCircuit(t), &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var stages []Stage
+	for _, s := range DefaultStages() {
+		if s.Name() == stageConstraints {
+			s = cancelOnRun{Stage: s, cancel: cancel}
+		}
+		stages = append(stages, s)
+	}
+	err = st.RunContext(ctx, stages, &cfg)
+	if !errors.Is(err, context.Canceled) || errors.As(err, new(ErrTclkInfeasible)) {
+		t.Fatalf("cancelled constraints stage: err = %v, want context.Canceled", err)
+	}
+	if n := len(st.Result.Trace); n == 0 || st.Result.Trace[n-1].Stage != stageConstraints {
+		t.Fatalf("pass did not stop in the constraints stage: %d events", n)
+	}
+	if st.Constraints != nil {
+		t.Fatal("cancelled stage committed a constraint system")
+	}
+}

@@ -181,8 +181,8 @@ func TestPlanObserved(t *testing.T) {
 		t.Errorf("cuts: counter %d, spans %g, ProbeStats %d", got, cutSpans, res.Probe.Cuts)
 	}
 
-	// The constraint source belongs to the constraints stage: its sweep
-	// and row-cache counters land there.
+	// Constraint generation belongs to the constraints stage: its sweep
+	// counters land there.
 	for _, ev := range res.Trace {
 		if ev.Stage != "constraints" {
 			continue
@@ -194,7 +194,7 @@ func TestPlanObserved(t *testing.T) {
 		if cs["sweeps"] == 0 || cs["sweeps"] != float64(res.ProbeMem.Sweeps) {
 			t.Errorf("constraints sweeps counter %g, source %d", cs["sweeps"], res.ProbeMem.Sweeps)
 		}
-		for _, name := range []string{"rowcache_rows", "rowcache_pairs", "rowcache_evictions", "sweeps_abandoned"} {
+		for _, name := range []string{"sweeps_abandoned"} {
 			if _, ok := cs[name]; !ok {
 				t.Errorf("constraints stage missing counter %s", name)
 			}

@@ -158,8 +158,8 @@ type Result struct {
 	// Probe is the work profile of the minimum-period search's incremental
 	// feasibility solver (warm probes, pairs scanned, witness rejects).
 	Probe retime.ProbeStats
-	// ProbeMem is the constraint source's memory/work accounting at the
-	// end of the pass (row-cache size, sweep and eviction counters).
+	// ProbeMem is the work accounting of the constraints stage's clock
+	// generation (sweeps run, sources abandoned).
 	ProbeMem retime.SourceMem
 
 	MinArea *core.Result

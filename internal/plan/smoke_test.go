@@ -15,7 +15,7 @@ import (
 // period search must converge to the known Tmin within the budget, where
 // all-pairs W/D matrices at this size would be ~27 GB. The search keeps
 // only the path cuts its probes need (tens of thousands), and constraint
-// generation at Tclk reads the lazy source's rows once.
+// generation at Tclk sweeps each source once.
 //
 // Gated behind LACRET_SMOKE=1 like the warm-probe smoke: it plans the
 // largest Table 1 circuit, which is too slow for the default test run. The
@@ -68,8 +68,7 @@ func TestLazyEngineSmokeS5378(t *testing.T) {
 	if res.TminLo != 0 || math.Abs(res.Tmin-32.302633) >= 1e-6 {
 		t.Fatalf("converged Tmin %.9f (TminLo %g), want 32.302633", res.Tmin, res.TminLo)
 	}
-	t.Logf("s5378 plan: %d vertices, Tmin=%.6f Tclk=%.3f, %d cuts in %d rounds, %d sweeps (%d abandoned), cache %d rows/%d pairs (%d evictions, %d hits), degraded=%v",
+	t.Logf("s5378 plan: %d vertices, Tmin=%.6f Tclk=%.3f, %d cuts in %d rounds, constraint sweeps: %d (%d abandoned), degraded=%v",
 		res.Graph.N(), res.Tmin, res.Tclk, res.Probe.Cuts, res.Probe.CutRounds, res.ProbeMem.Sweeps, res.ProbeMem.Abandoned,
-		res.ProbeMem.CachedRows, res.ProbeMem.CachedPairs, res.ProbeMem.Evictions, res.ProbeMem.Hits,
 		res.TruncatedStages())
 }

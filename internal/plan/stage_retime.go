@@ -57,12 +57,8 @@ func (periodsStage) Run(ctx context.Context, st *PlanState, cfg *Config) error {
 	return nil
 }
 
-// emitSourceGauges publishes the constraint source's memory accounting:
-// the row-cache size and eviction/sweep counters.
+// emitSourceGauges publishes the sweep counts of constraint generation.
 func emitSourceGauges(reg *obs.Registry, mem retime.SourceMem) {
-	reg.Gauge("retime.rowcache_rows").Set(float64(mem.CachedRows))
-	reg.Gauge("retime.rowcache_pairs").Set(float64(mem.CachedPairs))
-	reg.Gauge("retime.rowcache_evictions").Set(float64(mem.Evictions))
 	reg.Gauge("retime.lazy_sweeps").Set(float64(mem.Sweeps))
 	reg.Gauge("retime.lazy_abandoned").Set(float64(mem.Abandoned))
 }
@@ -89,22 +85,24 @@ func (periodsStage) Counters(st *PlanState) []Counter {
 
 // constraintsStage generates the clock/edge/pin constraint system at Tclk
 // (built once, per the paper's §4.2), pre-checks feasibility, and
-// assembles the LAC problem with per-tile free capacities. The constraint
-// source it generates through is floored at Tclk and local to the stage:
-// nothing later reads its rows.
+// assembles the LAC problem with per-tile free capacities.
 type constraintsStage struct{}
 
 func (constraintsStage) Name() string { return stageConstraints }
 
 func (constraintsStage) Run(ctx context.Context, st *PlanState, cfg *Config) error {
 	rg, res := st.Result.Graph, st.Result
-	src := retime.NewLazySource(rg, res.Tclk, 0)
-	cs, err := rg.BuildConstraints(res.Tclk, src)
-	res.ProbeMem = src.Mem()
-	emitSourceGauges(obs.FromContext(ctx).Registry(), res.ProbeMem)
+	cs, err := rg.BuildConstraints(ctx, res.Tclk)
 	if err != nil {
-		return ErrTclkInfeasible{Tclk: res.Tclk, Tmin: res.Tmin}
+		// Only a proven vertex-delay violation means Tclk is infeasible;
+		// cancellation and validation errors pass through as they are.
+		if errors.As(err, new(retime.ErrInfeasible)) {
+			return ErrTclkInfeasible{Tclk: res.Tclk, Tmin: res.Tmin}
+		}
+		return err
 	}
+	res.ProbeMem = retime.SourceMem{Sweeps: cs.Sweeps, Abandoned: cs.Abandoned}
+	emitSourceGauges(obs.FromContext(ctx).Registry(), res.ProbeMem)
 	if _, ok := cs.Feasible(rg); !ok {
 		return ErrTclkInfeasible{Tclk: res.Tclk, Tmin: res.Tmin}
 	}
@@ -130,9 +128,6 @@ func (constraintsStage) Counters(st *PlanState) []Counter {
 	mem := st.Result.ProbeMem
 	return []Counter{
 		{"constraints", float64(n)},
-		{"rowcache_rows", float64(mem.CachedRows)},
-		{"rowcache_pairs", float64(mem.CachedPairs)},
-		{"rowcache_evictions", float64(mem.Evictions)},
 		{"sweeps", float64(mem.Sweeps)},
 		{"sweeps_abandoned", float64(mem.Abandoned)},
 	}

@@ -1,6 +1,7 @@
 package retime
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -26,6 +27,10 @@ type Constraints struct {
 	Cons []Constraint
 	// Counts by origin, for diagnostics.
 	EdgeCount, ClockCount, PinCount int
+	// Sweeps counts the per-source W/D sweeps clock generation ran;
+	// Abandoned counts the sources it skipped without one, because no
+	// path out of them can exceed the period.
+	Sweeps, Abandoned int64
 
 	// Solver-layout copy of Cons (us/vs/bounds triples), built on first
 	// use so repeated Feasible probes against the same system do not
@@ -45,6 +50,21 @@ func (cs *Constraints) solverArrays() (us, vs, bs []int) {
 		}
 	}
 	return cs.us, cs.vs, cs.bs
+}
+
+// SourceMem is the work accounting of clock-constraint generation, surfaced
+// as obs gauges and stage counters.
+type SourceMem struct {
+	// DenseBytes, Hits and Evictions are always 0. They measured the
+	// retired dense W/D engine and row cache, and stay only so existing
+	// readers of the accounting keep compiling.
+	DenseBytes int64
+	Hits       int64
+	Evictions  int64
+	// Sweeps and Abandoned are the generation pass's counts
+	// (Constraints.Sweeps, Constraints.Abandoned).
+	Sweeps    int64
+	Abandoned int64
 }
 
 // ErrInfeasible reports that no retiming satisfies the target period.
@@ -97,12 +117,14 @@ func (rg *Graph) PinConstraints() []Constraint {
 	return cons
 }
 
-// ClockConstraints generates the period constraints for target T from a
-// ConstraintSource: for every ordered pair (u,v) with D(u,v) > T,
-// r(u) − r(v) ≤ W(u,v) − 1 (Leiserson–Saxe condition 2).
+// BuildConstraints assembles the full constraint system (edge weight, clock
+// period, pinning) for target period T. The clock constraints are generated
+// once, at T (the paper's §4.2), in one parallel pass:
 //
-// Constraints are pruned by a dominance rule (in the spirit of the
-// Shenoy–Rudell / Maheshwari–Sapatnekar reductions): the pair (u,v) is
+//	r(u) − r(v) ≤ W(u,v) − 1  for every ordered pair with D(u,v) > T
+//
+// (Leiserson–Saxe condition 2), pruned by a dominance rule in the spirit of
+// the Shenoy–Rudell / Maheshwari–Sapatnekar reductions: the pair (u,v) is
 // dropped when v has a W-tight in-edge from some v' with D(u,v') > T,
 // because then the (u,v') constraint plus the edge constraint (v',v)
 // already imply it:
@@ -112,133 +134,186 @@ func (rg *Graph) PinConstraints() []Constraint {
 //
 // Pruning chains terminate because tight edges form a DAG. Only the
 // frontier where D first crosses T survives, which shrinks the system by
-// orders of magnitude. The candidate test and dominance rule live in the
-// source's rows (SourcePair.DPrune), so generation reduces to a per-row
-// activation filter. T must be above the source's floor (rows do not
-// cover lower periods).
+// orders of magnitude.
 //
-// Rows are independent, so they are read across GOMAXPROCS workers (Row
-// is concurrency-safe by contract) and assembled in u order before the
-// final sort; the system does not depend on the worker count.
+// The D entries are floating-point sums whose rounding scales with the
+// magnitude of the path delay, so every comparison against T uses the
+// relative activation threshold: a strict D(u,v) > T at exactly T = Tmin
+// (itself a computed path-delay sum) would otherwise generate a spurious
+// constraint and flip an achievable period to infeasible.
 //
-// An error is returned if some single vertex delay already exceeds T (no
-// retiming can fix that).
-func (rg *Graph) ClockConstraints(T float64, src ConstraintSource) ([]Constraint, error) {
-	n := rg.N()
-	if src.N() != n {
-		return nil, fmt.Errorf("retime: constraint source for %d vertices, graph has %d", src.N(), n)
-	}
-	// The D entries are floating-point sums whose rounding scales with the
-	// magnitude of the path delay, so the T comparison needs a relative
-	// tolerance: a strict D(u,v) > T at exactly T = Tmin (itself a computed
-	// path-delay sum) would otherwise generate a spurious constraint and
-	// flip an achievable period to infeasible.
-	fT := activation(T)
-	if rg.MaxDelay() > fT {
-		return nil, ErrInfeasible{T: T}
-	}
-	if fT < activation(src.Floor()) {
-		return nil, fmt.Errorf("retime: period %g below constraint source floor %g", T, src.Floor())
-	}
-	rows := make([][]Constraint, n)
-	forEachRow(n, func(u int) {
-		var row []Constraint
-		for _, p := range src.Row(u) {
-			if p.D <= fT {
-				break // rows are D-descending: nothing further activates
-			}
-			if p.DPrune > fT {
-				// Dominance: a W-tight in-edge from a violating
-				// predecessor means this constraint is implied.
-				continue
-			}
-			row = append(row, Constraint{U: u, V: int(p.V), Bound: int(p.Bound)})
-		}
-		rows[u] = row
-	})
-	total := 0
-	for _, row := range rows {
-		total += len(row)
-	}
-	cons := make([]Constraint, 0, total)
-	for _, row := range rows {
-		cons = append(cons, row...)
-	}
-	sortConstraints(cons)
-	return cons, nil
-}
-
-// rowParallelThreshold is the vertex count below which forEachRow runs on
-// the calling goroutine (goroutine fan-out costs more than it saves on
-// tiny graphs).
-const rowParallelThreshold = 64
-
-// forEachRow calls f for every u in [0, n), fanning out across GOMAXPROCS
-// workers that claim rows one at a time.
-func forEachRow(n int, f func(u int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if n < rowParallelThreshold || workers <= 1 {
-		for u := 0; u < n; u++ {
-			f(u)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				u := int(next.Add(1)) - 1
-				if u >= n {
-					return
-				}
-				f(u)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// BuildConstraints assembles the full constraint system (edge weight, clock
-// period, pinning) for target period T. src serves the clock-constraint
-// rows; it must have been built for this graph, which must not have
-// changed since, and T must be above its floor. A nil src builds a
-// one-shot LazySource floored at T itself, so every T that passes the
-// vertex-delay check — including one within the comparison tolerance
-// below the maximum vertex delay — is above the floor. Callers that
-// want the source's accounting (the planner's constraints stage) pass
-// their own source floored at T.
-func (rg *Graph) BuildConstraints(T float64, src ConstraintSource) (*Constraints, error) {
-	if math.IsNaN(T) || T <= 0 {
-		return nil, fmt.Errorf("retime: invalid target period %g", T)
-	}
-	if err := rg.Validate(); err != nil {
-		return nil, err
-	}
-	if src == nil {
-		src = NewLazySource(rg, T, 0)
-	}
-	edge := rg.EdgeConstraints()
-	clock, err := rg.ClockConstraints(T, src)
+// Each GOMAXPROCS worker owns one W/D solver and claims sources u one at a
+// time, running the delay-pruned sweep (graph.WDSolver.FromSourceAbove,
+// cut at the threshold) and emitting u's constraints with v ascending; a
+// source no path out of which can exceed the threshold is abandoned
+// without a sweep. Rows are put together in u order, so the system does
+// not depend on the worker count. Workers stop claiming sources once ctx
+// is done, and the build then returns ctx.Err().
+//
+// ErrInfeasible is returned if some single vertex delay already exceeds T
+// (no retiming can fix that).
+func (rg *Graph) BuildConstraints(ctx context.Context, T float64) (*Constraints, error) {
+	fT, err := rg.clockThreshold(T)
 	if err != nil {
 		return nil, err
 	}
+	rows, sweeps, abandoned, err := rg.clockRows(ctx, fT)
+	if err != nil {
+		return nil, err
+	}
+	cs := rg.assemble(rows...)
+	cs.Sweeps, cs.Abandoned = sweeps, abandoned
+	return cs, nil
+}
+
+// clockThreshold validates T and the graph and returns T's activation
+// threshold, or ErrInfeasible when a vertex delay exceeds it.
+func (rg *Graph) clockThreshold(T float64) (float64, error) {
+	if math.IsNaN(T) || T <= 0 {
+		return 0, fmt.Errorf("retime: invalid target period %g", T)
+	}
+	if err := rg.Validate(); err != nil {
+		return 0, err
+	}
+	fT := activation(T)
+	if rg.MaxDelay() > fT {
+		return 0, ErrInfeasible{T: T}
+	}
+	return fT, nil
+}
+
+// assemble puts the edge constraints, the clock constraints (given as
+// consecutive chunks) and the pin constraints together, in that order.
+func (rg *Graph) assemble(clock ...[]Constraint) *Constraints {
+	edge := rg.EdgeConstraints()
 	pin := rg.PinConstraints()
+	nclock := 0
+	for _, c := range clock {
+		nclock += len(c)
+	}
 	cs := &Constraints{
 		N:          rg.N(),
+		Cons:       make([]Constraint, 0, len(edge)+nclock+len(pin)),
 		EdgeCount:  len(edge),
-		ClockCount: len(clock),
+		ClockCount: nclock,
 		PinCount:   len(pin),
 	}
 	cs.Cons = append(cs.Cons, edge...)
-	cs.Cons = append(cs.Cons, clock...)
+	for _, c := range clock {
+		cs.Cons = append(cs.Cons, c...)
+	}
 	cs.Cons = append(cs.Cons, pin...)
-	return cs, nil
+	return cs
+}
+
+// clockPair is the candidate test of clock generation: given source u's
+// W/D labels res, it reports whether destination v carries a constraint at
+// activation threshold fT — v is reachable from u, D(u,v) > fT, and no
+// W-tight in-edge (v',v) comes from a v' with D(u,v') > fT. Labels at or
+// below fT may be understated (FromSourceAbove), which cannot change the
+// verdict.
+func (rg *Graph) clockPair(res []graph.WDDist, u, v int, fT float64) bool {
+	wv := res[v].W
+	if v == u || wv < 0 || res[v].D <= fT {
+		return false
+	}
+	for _, ei := range rg.g.In(v) {
+		e := rg.g.Edge(ei)
+		if e.From == v || e.From == u {
+			continue
+		}
+		if p := res[e.From]; p.W >= 0 && p.W+e.W == wv && p.D > fT {
+			return false
+		}
+	}
+	return true
+}
+
+// rowParallelThreshold is the vertex count below which clock generation
+// runs on the calling goroutine (goroutine fan-out costs more than it
+// saves on tiny graphs).
+const rowParallelThreshold = 64
+
+// clockWorker is one generation worker's scratch: its sweep solver and
+// labels, and the constraints of the sources it claimed, row after row.
+type clockWorker struct {
+	sv                *graph.WDSolver
+	res               []graph.WDDist
+	cons              []Constraint
+	sweeps, abandoned int64
+}
+
+// rowSpan locates source u's row: cons[lo:hi] of worker w.
+type rowSpan struct{ w, lo, hi int }
+
+// clockRows runs the one generation pass at threshold fT (see
+// BuildConstraints) and returns the pruned clock constraints as rows in u
+// order, v ascending inside each, with the pass's sweep and abandon
+// counts.
+func (rg *Graph) clockRows(ctx context.Context, fT float64) (rows [][]Constraint, sweeps, abandoned int64, err error) {
+	n := rg.N()
+	suffix := rg.g.DelaySuffixBound(rg.delay)
+	nw := runtime.GOMAXPROCS(0)
+	if n < rowParallelThreshold {
+		nw = 1
+	}
+	workers := make([]clockWorker, nw)
+	spans := make([]rowSpan, n)
+	done := ctx.Done()
+	var next atomic.Int64
+	run := func(wi int) {
+		w := &workers[wi]
+		w.sv = graph.NewWDSolver(rg.g)
+		w.res = make([]graph.WDDist, n)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			u := int(next.Add(1)) - 1
+			if u >= n {
+				return
+			}
+			if !w.sv.FromSourceAbove(u, rg.delay, fT, suffix, w.res) {
+				w.abandoned++
+				continue
+			}
+			w.sweeps++
+			lo := len(w.cons)
+			for v := range w.res {
+				if rg.clockPair(w.res, u, v, fT) {
+					w.cons = append(w.cons, Constraint{U: u, V: v, Bound: w.res[v].W - 1})
+				}
+			}
+			spans[u] = rowSpan{wi, lo, len(w.cons)}
+		}
+	}
+	if nw == 1 {
+		run(0)
+	} else {
+		var wg sync.WaitGroup
+		for wi := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run(wi)
+			}()
+		}
+		wg.Wait()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, 0, 0, err
+	}
+	for i := range workers {
+		sweeps += workers[i].sweeps
+		abandoned += workers[i].abandoned
+	}
+	rows = make([][]Constraint, n)
+	for u, s := range spans {
+		rows[u] = workers[s.w].cons[s.lo:s.hi]
+	}
+	return rows, sweeps, abandoned, nil
 }
 
 // Feasible solves the constraint system with the worklist (SPFA)

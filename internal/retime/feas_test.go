@@ -19,9 +19,9 @@ import (
 // the solver cold. Build errors (invalid T, vertex delay above T) are the
 // infeasible verdict, exactly as the pre-solver period search treated them.
 // The system comes from the all-pairs W/D oracle, so the cold side shares
-// no row code path with the lazy engine beyond the candidate test.
+// no sweep with the generation pass, only the candidate test.
 func coldProbe(rg *Graph, wd *WD, T float64) (r []int, ok bool) {
-	cs, err := rg.BuildConstraints(T, newOracleSource(rg, wd, 0))
+	cs, err := oracleConstraints(rg, wd, T)
 	if err != nil {
 		return nil, false
 	}
@@ -377,7 +377,7 @@ func TestFeasibleReusesArrays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := rg.BuildConstraints(T*1.05, nil)
+	cs, err := rg.BuildConstraints(context.Background(), T*1.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func BenchmarkFeasible(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cs, err := rg.BuildConstraints(T*1.05, nil)
+	cs, err := rg.BuildConstraints(context.Background(), T*1.05)
 	if err != nil {
 		b.Fatal(err)
 	}

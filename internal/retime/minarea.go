@@ -33,7 +33,7 @@ type MinAreaResult struct {
 // area weights (the classical problem): it minimizes the total number of
 // registers subject to the clock-period constraints.
 func (rg *Graph) MinArea(T float64) (*MinAreaResult, error) {
-	cs, err := rg.BuildConstraints(T, nil)
+	cs, err := rg.BuildConstraints(context.Background(), T)
 	if err != nil {
 		return nil, err
 	}

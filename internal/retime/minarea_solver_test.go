@@ -1,6 +1,7 @@
 package retime
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,7 +9,7 @@ import (
 
 func TestMinAreaSolverMatchesOneShot(t *testing.T) {
 	rg := ring(6, 1, 3)
-	cs, err := rg.BuildConstraints(2, nil)
+	cs, err := rg.BuildConstraints(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestMinAreaSolverWarmEqualsCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		cs, err := rg.BuildConstraints(T, nil) // r = 0 is feasible at the initial period
+		cs, err := rg.BuildConstraints(context.Background(), T) // r = 0 is feasible at the initial period
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -111,7 +112,7 @@ func TestMinAreaSolverWarmEqualsCold(t *testing.T) {
 
 func TestNewMinAreaSolverValidation(t *testing.T) {
 	rg := ring(6, 1, 3)
-	cs, err := rg.BuildConstraints(2, nil)
+	cs, err := rg.BuildConstraints(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,10 @@ import (
 // count over u→v paths (-1 if unreachable), and D[u][v] the maximum total
 // vertex delay over paths attaining W[u][v], endpoints included.
 //
-// It is the tests' reference for the lazy engine: one exact, unpruned
-// sweep per source (graph.WDSolver.FromSource) with no floor, no cache and
-// no frontier pruning, against which LazySource rows, generated
-// constraints and period searches are checked.
+// It is the tests' reference for constraint generation: one exact,
+// unpruned sweep per source (graph.WDSolver.FromSource) with no frontier
+// pruning, against which generated constraints and period searches are
+// checked.
 type WD struct {
 	N int
 	W [][]int32
@@ -68,32 +68,27 @@ func (wd *WD) MaxD() float64 {
 	return m
 }
 
-// oracleSource serves ConstraintSource rows assembled from the oracle
-// matrices through the same candidate test the lazy engine uses, so any
-// row difference is a sweep or pruning defect in the engine.
-type oracleSource struct {
-	rg    *Graph
-	wd    *WD
-	floor float64
-	cut   float64
-}
-
-// newOracleSource wraps oracle matrices of rg as a ConstraintSource with
-// the given period floor (0 serves every positive period).
-func newOracleSource(rg *Graph, wd *WD, floor float64) ConstraintSource {
-	return &oracleSource{rg: rg, wd: wd, floor: floor, cut: activation(floor)}
-}
-
-func (o *oracleSource) N() int         { return o.wd.N }
-func (o *oracleSource) Floor() float64 { return o.floor }
-func (o *oracleSource) Mem() SourceMem { return SourceMem{} }
-func (o *oracleSource) Row(u int) []SourcePair {
-	Wu, Du := o.wd.W[u], o.wd.D[u]
-	var row []SourcePair
-	for v := 0; v < o.wd.N; v++ {
-		row = appendRowPair(o.rg, row, u, v, Wu[v], Du[v], o.cut,
-			func(x int) (int32, float64) { return Wu[x], Du[x] })
+// oracleConstraints builds the expected constraint system at T straight
+// from the oracle matrices: every (u,v) pair goes through the production
+// candidate test (clockPair) on exact, unpruned labels, so any difference
+// from BuildConstraints is a sweep, pruning or assembly defect in the
+// generation pass.
+func oracleConstraints(rg *Graph, wd *WD, T float64) (*Constraints, error) {
+	fT, err := rg.clockThreshold(T)
+	if err != nil {
+		return nil, err
 	}
-	sortRow(row)
-	return row
+	var clock []Constraint
+	res := make([]graph.WDDist, wd.N)
+	for u := 0; u < wd.N; u++ {
+		for v := range res {
+			res[v] = graph.WDDist{W: int(wd.W[u][v]), D: wd.D[u][v]}
+		}
+		for v := range res {
+			if rg.clockPair(res, u, v, fT) {
+				clock = append(clock, Constraint{U: u, V: v, Bound: res[v].W - 1})
+			}
+		}
+	}
+	return rg.assemble(clock), nil
 }

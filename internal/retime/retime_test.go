@@ -236,7 +236,7 @@ func TestMinPeriodCombinationalPathLimits(t *testing.T) {
 func TestFeasiblePeriodInfeasible(t *testing.T) {
 	rg := pipeline([]float64{1, 1}, []int{0, 0, 0})
 	feasible := func(T float64) ([]int, bool) {
-		cs, err := rg.BuildConstraints(T, nil)
+		cs, err := rg.BuildConstraints(context.Background(), T)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +324,7 @@ func TestMinAreaWeightedMovesRegisters(t *testing.T) {
 	// Expensive registers on the input side: the register must end on b's
 	// out-edge (the only cheap tail).
 	rg := build()
-	cs, err := rg.BuildConstraints(100, nil)
+	cs, err := rg.BuildConstraints(context.Background(), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,7 +561,7 @@ func TestFromCollapsed(t *testing.T) {
 
 func TestConstraintCounts(t *testing.T) {
 	rg := pipeline([]float64{1, 1, 1}, []int{0, 1, 1, 0})
-	cs, err := rg.BuildConstraints(2, nil)
+	cs, err := rg.BuildConstraints(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,10 +588,11 @@ func TestClockConstraintPruning(t *testing.T) {
 	}
 	rg := pipeline(delays, weights)
 	wd := oracleWD(rg)
-	cons, err := rg.ClockConstraints(1, NewLazySource(rg, 1, 0))
+	cs, err := rg.BuildConstraints(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cons := cs.Cons[cs.EdgeCount : cs.EdgeCount+cs.ClockCount]
 	// Full pair set with D>1 would be ~N^2/2; pruned should be at most
 	// one per (source, frontier) which for a chain is O(N).
 	if len(cons) > 40 {
@@ -600,7 +601,7 @@ func TestClockConstraintPruning(t *testing.T) {
 	// And the pruned system must be exactly as restrictive: compare
 	// feasibility against the unpruned system on a few probes.
 	for _, T := range []float64{1, 1.5, 2, 3} {
-		pruned, err := rg.BuildConstraints(T, nil)
+		pruned, err := rg.BuildConstraints(context.Background(), T)
 		if err != nil {
 			continue
 		}
@@ -653,7 +654,7 @@ func TestPrunedMatchesFullOnRandomGraphs(t *testing.T) {
 		if T < maxDelay {
 			T = maxDelay
 		}
-		pruned, err := rg.BuildConstraints(T, nil)
+		pruned, err := rg.BuildConstraints(context.Background(), T)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

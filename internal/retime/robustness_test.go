@@ -36,7 +36,7 @@ func nastyGraph(rng *rand.Rand, n int, scale float64) *Graph {
 }
 
 // TestRetimeAtExactTmin is the regression test for the strict D(u,v) > T
-// comparison in ClockConstraints: re-solving at exactly the Tmin returned
+// comparison in clock-constraint generation: re-solving at exactly the Tmin returned
 // by MinPeriod — the planner's Tclk whenever the slack collapses — must
 // stay feasible at every delay magnitude. With an absolute 1e-9 epsilon
 // this spuriously flips to infeasible once delays reach ~1e7 (one ulp of
@@ -56,22 +56,17 @@ func TestRetimeAtExactTmin(t *testing.T) {
 			if err := rg.CheckFeasible(r, tmin); err != nil {
 				t.Fatalf("scale %g trial %d: labeling from MinPeriod rejected: %v", scale, trial, err)
 			}
-			// The planner path regenerates constraints at exactly T = Tmin
-			// from a source floored there; the one-shot path (nil source)
-			// must agree.
-			src := NewLazySource(rg, tmin, 0)
-			for _, s := range []ConstraintSource{src, nil} {
-				cs, err := rg.BuildConstraints(tmin, s)
-				if err != nil {
-					t.Fatalf("scale %g trial %d: constraints at exact Tmin: %v", scale, trial, err)
-				}
-				r2, ok := cs.Feasible(rg)
-				if !ok {
-					t.Fatalf("scale %g trial %d: infeasible at exactly Tmin=%v", scale, trial, tmin)
-				}
-				if err := rg.CheckFeasible(r2, tmin); err != nil {
-					t.Fatalf("scale %g trial %d: solution at exact Tmin invalid: %v", scale, trial, err)
-				}
+			// The planner path regenerates constraints at exactly T = Tmin.
+			cs, err := rg.BuildConstraints(context.Background(), tmin)
+			if err != nil {
+				t.Fatalf("scale %g trial %d: constraints at exact Tmin: %v", scale, trial, err)
+			}
+			r2, ok := cs.Feasible(rg)
+			if !ok {
+				t.Fatalf("scale %g trial %d: infeasible at exactly Tmin=%v", scale, trial, tmin)
+			}
+			if err := rg.CheckFeasible(r2, tmin); err != nil {
+				t.Fatalf("scale %g trial %d: solution at exact Tmin invalid: %v", scale, trial, err)
 			}
 		}
 	}

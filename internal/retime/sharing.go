@@ -1,6 +1,9 @@
 package retime
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // SharedMinAreaResult reports a fanout-sharing-aware minimum-area retiming.
 type SharedMinAreaResult struct {
@@ -64,7 +67,7 @@ func (rg *Graph) MinAreaShared(T float64) (*SharedMinAreaResult, error) {
 		}
 	}
 
-	cs, err := ext.BuildConstraints(T, nil)
+	cs, err := ext.BuildConstraints(context.Background(), T)
 	if err != nil {
 		return nil, err
 	}
