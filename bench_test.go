@@ -11,7 +11,8 @@
 //     graph construction from a floorplan.
 //   - §5 observations: BenchmarkAlphaSweep (the alpha ablation),
 //     BenchmarkMinPeriod and BenchmarkConstraintGeneration (the
-//     retiming-engine costs that dominate planning runtime).
+//     retiming-engine costs), BenchmarkFloorplanStage and
+//     BenchmarkRouteStage (the planner's front end).
 package lacret
 
 import (
@@ -21,6 +22,7 @@ import (
 	"lacret/internal/bench89"
 	"lacret/internal/core"
 	"lacret/internal/experiments"
+	"lacret/internal/job"
 	"lacret/internal/plan"
 	"lacret/internal/tile"
 )
@@ -188,3 +190,47 @@ func BenchmarkConstraintGeneration(b *testing.B) {
 		}
 	}
 }
+
+// benchStage plans s953 the way the planner benchmark configures a pass
+// (the default request, normalized, so the seed is the catalog seed)
+// through the stages before the named one, then times only that stage,
+// re-run on the same state.
+func benchStage(b *testing.B, name string) {
+	req := job.PlanRequest{Source: job.Source{Circuit: "s953"}}
+	req.Normalize()
+	nl, err := req.Source.Netlist()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := req.PlanConfig()
+	st, err := plan.NewState(nl, &cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stages := plan.DefaultStages()
+	at := -1
+	for i, s := range stages {
+		if s.Name() == name {
+			at = i
+		}
+	}
+	if at < 0 {
+		b.Fatalf("no stage %s", name)
+	}
+	ctx := context.Background()
+	if err := st.RunContext(ctx, stages[:at], &cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := stages[at].Run(ctx, st, &cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// Front-end stage costs: the sequence-pair annealer and the maze router
+// with rip-up and re-route, each timed alone on a planned s953.
+func BenchmarkFloorplanStage(b *testing.B) { benchStage(b, "floorplan") }
+func BenchmarkRouteStage(b *testing.B)     { benchStage(b, "route") }

@@ -225,6 +225,7 @@ type WDSolver struct {
 	indeg   []int
 	queue   []int
 	buckets [][]int
+	reached []int // FromSourceAbove: the vertices phase 1 reached
 }
 
 // NewWDSolver returns a solver bound to g.

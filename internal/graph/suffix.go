@@ -115,6 +115,15 @@ func (sv *WDSolver) FromSourceAbove(s int, delay []float64, cut float64, suffix 
 		bk[key] = append(bk[key], v)
 	}
 	push(0, s)
+	// Phase 1 also counts each reached vertex's tight in-edges (those on a
+	// minimum-weight path): a vertex is relaxed from every reached
+	// predecessor exactly once, at the predecessor's final W, and an
+	// improvement restarts the count at the improving edge, so the count
+	// left when phase 1 ends is the number of edges u→v with final
+	// W(u) + w(e) == W(v).
+	indeg := sv.indeg
+	indeg[s] = 0
+	reached := append(sv.reached[:0], s)
 	for key := 0; key < len(bk); key++ {
 		for i := 0; i < len(bk[key]); i++ {
 			v := bk[key][i]
@@ -126,42 +135,33 @@ func (sv *WDSolver) FromSourceAbove(s int, delay []float64, cut float64, suffix 
 				if e.W < 0 {
 					panic("graph: WDFromSource requires nonnegative edge weights")
 				}
-				if nk := key + e.W; w[e.To] == unreach || nk < w[e.To] {
+				if nk, old := key+e.W, w[e.To]; old == unreach || nk < old {
+					if old == unreach {
+						reached = append(reached, e.To)
+					}
 					w[e.To] = nk
+					indeg[e.To] = 1
 					push(nk, e.To)
+				} else if nk == old {
+					indeg[e.To]++
 				}
 			}
 		}
 	}
 	sv.buckets = bk
+	sv.reached = reached
 	// Phase 2: longest delay over tight edges. The topological traversal
-	// (indegree bookkeeping) runs in full; only the delay propagation from
-	// prunable vertices is skipped.
-	indeg := sv.indeg
-	for i := range indeg {
-		indeg[i] = 0
-	}
-	for _, e := range g.edges {
-		if w[e.From] != unreach && w[e.From]+e.W == w[e.To] {
-			indeg[e.To]++
-		}
-	}
+	// (indegree bookkeeping) runs over the reached vertices only; only the
+	// delay propagation from prunable vertices is skipped.
 	d := sv.d
-	for i := range d {
-		d[i] = math.Inf(-1)
-	}
-	d[s] = delay[s]
 	queue := sv.queue[:0]
-	reachable := 0
-	for v := 0; v < g.n; v++ {
-		if w[v] == unreach {
-			continue
-		}
-		reachable++
+	for _, v := range reached {
+		d[v] = math.Inf(-1)
 		if indeg[v] == 0 {
 			queue = append(queue, v)
 		}
 	}
+	d[s] = delay[s]
 	processed := 0
 	for qi := 0; qi < len(queue); qi++ {
 		v := queue[qi]
@@ -184,7 +184,7 @@ func (sv *WDSolver) FromSourceAbove(s int, delay []float64, cut float64, suffix 
 		}
 	}
 	sv.queue = queue
-	if processed != reachable {
+	if processed != len(reached) {
 		panic("graph: WDFromSource found a zero-weight cycle (combinational loop)")
 	}
 	for v := 0; v < g.n; v++ {

@@ -285,3 +285,33 @@ func TestRouteTreeIsAcyclic(t *testing.T) {
 		}
 	}
 }
+
+// TestCellQueuePopsLeastEntry: with pushes and pops interleaved and many
+// equal distances, every pop must return the least (dist, cell) entry of
+// the queue's contents — the property the router's determinism rests on.
+func TestCellQueuePopsLeastEntry(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var q cellQueue
+	var ref []queueItem
+	for step := 0; step < 5000; step++ {
+		if len(ref) == 0 || rng.Intn(3) > 0 {
+			it := queueItem{dist: float64(rng.Intn(8)), cell: step}
+			q.push(it)
+			ref = append(ref, it)
+			continue
+		}
+		least := 0
+		for i := range ref {
+			if ref[i].less(ref[least]) {
+				least = i
+			}
+		}
+		if got := q.pop(); got != ref[least] {
+			t.Fatalf("step %d: popped %+v, want %+v", step, got, ref[least])
+		}
+		ref = append(ref[:least], ref[least+1:]...)
+	}
+	if len(q) != len(ref) {
+		t.Fatalf("queue holds %d entries, want %d", len(q), len(ref))
+	}
+}
