@@ -36,9 +36,18 @@ func TestManagerRecoversPendingAndResumes(t *testing.T) {
 
 	// First incarnation: the running job saves a checkpoint, then parks
 	// until the test ends (simulating a plan in flight when the process
-	// dies). The second submission never leaves the queue.
+	// dies). The second submission never leaves the queue. Cleanups run
+	// last-in first-out, so this one frees the parked worker and waits for
+	// m1 before the temporary directory is removed.
 	release := make(chan struct{})
-	defer close(release)
+	var m1 *Manager
+	var err error
+	t.Cleanup(func() {
+		close(release)
+		if m1 != nil {
+			m1.Shutdown(context.Background())
+		}
+	})
 	checkpointed := make(chan string, 1)
 	run1 := func(ctx context.Context, req *PlanRequest, trace func(plan.StageEvent)) (*RunResult, error) {
 		if h := checkpointFrom(ctx); h != nil {
@@ -50,7 +59,7 @@ func TestManagerRecoversPendingAndResumes(t *testing.T) {
 		}
 		return nil, context.Canceled
 	}
-	m1, err := Open(Options{
+	m1, err = Open(Options{
 		DataDir: dir, Workers: 1, Run: run1,
 		CheckpointNotify: func(id, stage string) {
 			select {

@@ -107,3 +107,36 @@ func TestLACAnswersPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestLACWarmColdReweighted arms the per-round warm/cold gate
+// (core.Options.VerifyWarm) on two LAC-heavy circuits as the root
+// benchmarks plan them. Every reweighting round perturbs most node
+// supplies, so the flow engine takes its global-change path on a network
+// the size of a real circuit, and every round must match a from-scratch
+// solve in labeling, register count and weighted area.
+func TestLACWarmColdReweighted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("catalog circuits in short mode")
+	}
+	for _, circuit := range []string{"s641", "s1196"} {
+		r := plannedCircuit(t, circuit)
+		n := r.Problem.Graph.N()
+		for _, alpha := range []float64{0.05, 1.0} {
+			opt := core.Options{Alpha: alpha, AlphaSet: true, Nmax: 5, MaxIters: 20, VerifyWarm: true}
+			res, err := r.Problem.Solve(opt)
+			if err != nil {
+				t.Fatalf("%s alpha %g: %v", circuit, alpha, err)
+			}
+			global := 0
+			for _, it := range res.Iters[1:] {
+				if it.Warm && 4*it.SupplyChanged >= n {
+					global++
+				}
+			}
+			if res.NWR < 2 || global == 0 {
+				t.Fatalf("%s alpha %g: %d rounds, %d warm with a global supply change; want a reweighted one",
+					circuit, alpha, res.NWR, global)
+			}
+		}
+	}
+}
