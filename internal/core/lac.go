@@ -106,6 +106,9 @@ type IterStat struct {
 	// round (one per phase plus one per global relabel; see
 	// mcmf.SolveStats.Labelings).
 	Labelings int
+	// Scans counts the arc positions the flow engine examined this round
+	// (see mcmf.SolveStats.Scans).
+	Scans int
 	// SupplyChanged counts the node supplies that differed from the
 	// previous round when the solve started. The constraint arcs' costs
 	// are fixed bounds, so reweighting shows up purely in supplies.
@@ -223,7 +226,7 @@ func (p *Problem) MinAreaBaselineContext(ctx context.Context) (*Result, error) {
 	res.NFOA, res.Violated = p.Violations(res.TileFF)
 	res.Iters = []IterStat{{NFOA: res.NFOA, Registers: res.NF, Duration: time.Since(t0),
 		Warm: ma.Stats.Warm, AugPaths: ma.Stats.AugmentingPaths, Phases: ma.Stats.Phases,
-		Labelings: ma.Stats.Labelings, SupplyChanged: ma.Stats.SupplyChanged}}
+		Labelings: ma.Stats.Labelings, Scans: ma.Stats.Scans, SupplyChanged: ma.Stats.SupplyChanged}}
 	return res, nil
 }
 
@@ -351,7 +354,7 @@ func (p *Problem) SolveContext(ctx context.Context, opt Options) (*Result, error
 		stat := IterStat{NFOA: nfoa, Registers: ma.Registers, MaxRatio: maxRatio,
 			Duration: time.Since(roundStart),
 			Warm:     ma.Stats.Warm, AugPaths: ma.Stats.AugmentingPaths, Phases: ma.Stats.Phases,
-			Labelings: ma.Stats.Labelings, SupplyChanged: ma.Stats.SupplyChanged}
+			Labelings: ma.Stats.Labelings, Scans: ma.Stats.Scans, SupplyChanged: ma.Stats.SupplyChanged}
 		gNfoa.Set(float64(nfoa))
 		hRound.Observe(float64(stat.Duration.Microseconds()) / 1000)
 		rsp.SetAttr("nfoa", float64(nfoa))
@@ -365,6 +368,7 @@ func (p *Problem) SolveContext(ctx context.Context, opt Options) (*Result, error
 		rsp.SetAttr("augpaths", float64(ma.Stats.AugmentingPaths))
 		rsp.SetAttr("phases", float64(ma.Stats.Phases))
 		rsp.SetAttr("labelings", float64(ma.Stats.Labelings))
+		rsp.SetAttr("scans", float64(ma.Stats.Scans))
 		rsp.SetAttr("supply_changed", float64(ma.Stats.SupplyChanged))
 
 		if best == nil || cur.NFOA < best.NFOA || (cur.NFOA == best.NFOA && cur.NF < best.NF) {

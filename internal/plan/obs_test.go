@@ -202,36 +202,44 @@ func TestPlanObserved(t *testing.T) {
 	}
 
 	// The min-area baseline is one flow solve, so its stage holds exactly
-	// one mcmf-solve span. Every solve span carries its labeling count,
-	// and the spans, the registry and the two retiming stages' counters
-	// agree on the total.
+	// one mcmf-solve span. Every solve span carries its labeling and arc
+	// scan counts, and the spans, the registry and the two retiming
+	// stages' counters agree on each total.
 	if n := countSpans(sub["minarea"], "mcmf-solve"); n != 1 {
 		t.Errorf("minarea stage has %d mcmf-solve sub-spans, want 1", n)
 	}
-	spanLabelings, stageLabelings := 0.0, 0.0
-	for _, stage := range []string{"minarea", "lac"} {
-		forEachSpan(sub[stage], "mcmf-solve", func(sp *obs.Span) {
-			v, ok := sp.Attr("labelings")
-			if !ok {
-				t.Errorf("%s: mcmf-solve span missing labelings attr", stage)
-			}
-			spanLabelings += v
-		})
-	}
-	for _, ev := range res.Trace {
-		for _, c := range ev.Counters {
-			if c.Name == "labelings" && (ev.Stage == "minarea" || ev.Stage == "lac") {
-				stageLabelings += c.Value
+	for _, attr := range []string{"labelings", "scans"} {
+		spanTotal, stageTotal := 0.0, 0.0
+		for _, stage := range []string{"minarea", "lac"} {
+			forEachSpan(sub[stage], "mcmf-solve", func(sp *obs.Span) {
+				v, ok := sp.Attr(attr)
+				if !ok {
+					t.Errorf("%s: mcmf-solve span missing %s attr", stage, attr)
+				}
+				spanTotal += v
+			})
+		}
+		for _, ev := range res.Trace {
+			for _, c := range ev.Counters {
+				if c.Name == attr && (ev.Stage == "minarea" || ev.Stage == "lac") {
+					stageTotal += c.Value
+				}
 			}
 		}
+		if got := rec.Registry().Snapshot().Counters["mcmf."+attr]; got == 0 || float64(got) != spanTotal || spanTotal != stageTotal {
+			t.Errorf("%s: counter %d, spans %g, stage counters %g", attr, got, spanTotal, stageTotal)
+		}
 	}
-	if got := rec.Registry().Snapshot().Counters["mcmf.labelings"]; got == 0 || float64(got) != spanLabelings || spanLabelings != stageLabelings {
-		t.Errorf("labelings: counter %d, spans %g, stage counters %g", got, spanLabelings, stageLabelings)
-	}
+
+	forEachSpan(sub["lac"], "lac-round", func(sp *obs.Span) {
+		if _, ok := sp.Attr("scans"); !ok {
+			t.Error("lac-round span missing scans attr")
+		}
+	})
 
 	// The shared registry accumulated the work counters.
 	snap := rec.Registry().Snapshot()
-	for _, name := range []string{"retime.probes", "route.rounds", "lac.rounds", "mcmf.phases", "mcmf.labelings", "mcmf.augpaths"} {
+	for _, name := range []string{"retime.probes", "route.rounds", "lac.rounds", "mcmf.phases", "mcmf.labelings", "mcmf.augpaths", "mcmf.scans"} {
 		if snap.Counters[name] == 0 {
 			t.Errorf("counter %s is zero after an observed plan", name)
 		}

@@ -154,11 +154,12 @@ func (minAreaStage) Counters(st *PlanState) []Counter {
 	if st.Result.MinArea == nil {
 		return nil
 	}
-	var aug, ph, lv int
+	var aug, ph, lv, sc int
 	for _, it := range st.Result.MinArea.Iters {
 		aug += it.AugPaths
 		ph += it.Phases
 		lv += it.Labelings
+		sc += it.Scans
 	}
 	return []Counter{
 		{"nfoa", float64(st.Result.MinArea.NFOA)},
@@ -166,6 +167,7 @@ func (minAreaStage) Counters(st *PlanState) []Counter {
 		{"augpaths", float64(aug)},
 		{"phases", float64(ph)},
 		{"labelings", float64(lv)},
+		{"scans", float64(sc)},
 	}
 }
 
@@ -208,11 +210,12 @@ func (lacStage) Counters(st *PlanState) []Counter {
 	// distance labelings across the loop (each phase batch-routes the whole
 	// admissible subgraph, so phases ≪ augpaths measures how well batching
 	// worked).
-	var aug, ph, lv, warm int
+	var aug, ph, lv, sc, warm int
 	for _, it := range st.Result.LAC.Iters {
 		aug += it.AugPaths
 		ph += it.Phases
 		lv += it.Labelings
+		sc += it.Scans
 		if it.Warm {
 			warm++
 		}
@@ -225,5 +228,6 @@ func (lacStage) Counters(st *PlanState) []Counter {
 		{"augpaths", float64(aug)},
 		{"phases", float64(ph)},
 		{"labelings", float64(lv)},
+		{"scans", float64(sc)},
 	}
 }
