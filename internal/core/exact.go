@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -9,7 +10,8 @@ import (
 
 // SolveExact solves the LAC-retiming instance exactly by enumerating all
 // feasible integral labelings with interval propagation over the
-// difference constraints — the ILP the paper proves the problem to be
+// difference constraints of the problem's cut pool, keeping those whose
+// retimed graph meets Tclk — the ILP the paper proves the problem to be
 // (§4.2: "it is a integer linear programming problem, which is
 // NP-Complete"). It minimizes N_FOA with N_F as tie-breaker.
 //
@@ -20,10 +22,11 @@ func (p *Problem) SolveExact() (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	cs, err := p.constraints()
+	pool, err := p.pool(context.Background())
 	if err != nil {
 		return nil, err
 	}
+	cs := pool.Constraints()
 	n := p.Graph.N()
 
 	// Initial domains from the difference constraints: anchor at the
@@ -106,6 +109,11 @@ func (p *Problem) SolveExact() (*Result, error) {
 	var rec func(v int)
 	rec = func(v int) {
 		if v == n {
+			// The pool relaxes the clock-period constraints, so a labeling
+			// that satisfies it must still be timed.
+			if p.Graph.CheckFeasible(r, p.Tclk) != nil {
+				return
+			}
 			retimed, err := p.Graph.Apply(r)
 			if err != nil {
 				return

@@ -13,7 +13,8 @@
 //
 // which steers flip-flops away from over-utilized tiles. Iteration stops
 // when all constraints are met or no improvement is seen for Nmax rounds.
-// Clock-period constraints are generated once and reused across rounds.
+// The clock-period constraints live in one cut pool per problem, grown by
+// the rounds that need them and reused by every later round and solve.
 package core
 
 import (
@@ -21,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"lacret/internal/obs"
@@ -44,19 +46,29 @@ type Problem struct {
 	Cap []float64
 	// FFArea is the area of one flip-flop.
 	FFArea float64
-	// Constraints optionally supplies a prebuilt constraint system for
-	// Graph at Tclk (the planner's, generated once per §4.2); when nil,
-	// it is built on demand.
-	Constraints *retime.Constraints
+	// Pool optionally supplies the clock-period constraints: a cut pool
+	// probed at Tclk over Graph (the planner's). When nil, the first solve
+	// probes Tclk cold and keeps the pool here. The pool grows
+	// monotonically across rounds and solves; the answers do not depend
+	// on what it holds (see retime.CutPool).
+	Pool *retime.CutPool
+
+	// mu guards the lazy fill of Pool; the pool guards itself.
+	mu sync.Mutex
 }
 
-// constraints returns the prebuilt constraint system, or builds one at Tclk
-// when none is attached.
-func (p *Problem) constraints() (*retime.Constraints, error) {
-	if p.Constraints != nil {
-		return p.Constraints, nil
+// pool returns the problem's cut pool, probing Tclk for one on first use.
+func (p *Problem) pool(ctx context.Context) (*retime.CutPool, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.Pool == nil {
+		pool, err := retime.NewCutPool(ctx, p.Graph, p.Tclk)
+		if err != nil {
+			return nil, err
+		}
+		p.Pool = pool
 	}
-	return p.Graph.BuildConstraints(context.Background(), p.Tclk)
+	return p.Pool, nil
 }
 
 // Options tunes the LAC loop.
@@ -113,6 +125,10 @@ type IterStat struct {
 	// previous round when the solve started. The constraint arcs' costs
 	// are fixed bounds, so reweighting shows up purely in supplies.
 	SupplyChanged int
+	// Cuts counts the too-long paths the round's cut loop found, and
+	// Rebuilds the flow networks it rebuilt from the grown pool (see
+	// retime.MinAreaResult).
+	Cuts, Rebuilds int
 }
 
 // Result is the outcome of LAC-retiming.
@@ -159,6 +175,12 @@ func (p *Problem) validate() error {
 	if p.Tclk <= 0 || math.IsNaN(p.Tclk) {
 		return fmt.Errorf("core: invalid Tclk %g", p.Tclk)
 	}
+	p.mu.Lock()
+	pool := p.Pool
+	p.mu.Unlock()
+	if pool != nil && (pool.Graph() != p.Graph || pool.Period() != p.Tclk) {
+		return fmt.Errorf("core: Pool constrains another graph or period than Graph at Tclk %g", p.Tclk)
+	}
 	return nil
 }
 
@@ -202,15 +224,12 @@ func (p *Problem) MinAreaBaselineContext(ctx context.Context) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	cs, err := p.constraints()
+	pool, err := p.pool(ctx)
 	if err != nil {
 		return nil, err
 	}
 	t0 := time.Now()
-	solver, err := retime.NewMinAreaSolver(p.Graph, cs)
-	if err != nil {
-		return nil, err
-	}
+	solver := retime.NewMinAreaSolver(pool)
 	solver.SetContext(ctx)
 	ma, err := solver.Resolve(nil)
 	if err != nil {
@@ -224,16 +243,17 @@ func (p *Problem) MinAreaBaselineContext(ctx context.Context) (*Result, error) {
 		TileFF:  p.TileFFCounts(ma.Retimed),
 	}
 	res.NFOA, res.Violated = p.Violations(res.TileFF)
-	res.Iters = []IterStat{{NFOA: res.NFOA, Registers: res.NF, Duration: time.Since(t0),
-		Warm: ma.Stats.Warm, AugPaths: ma.Stats.AugmentingPaths, Phases: ma.Stats.Phases,
-		Labelings: ma.Stats.Labelings, Scans: ma.Stats.Scans, SupplyChanged: ma.Stats.SupplyChanged}}
+	res.Iters = []IterStat{iterStat(ma, time.Since(t0))}
+	res.Iters[0].NFOA, res.Iters[0].Registers = res.NFOA, res.NF
 	return res, nil
 }
 
 // Solve runs the LAC-retiming heuristic. The weighted min-area rounds run
-// on one persistent retime.MinAreaSolver: the constraint network is built
-// once and each reweighting round warm-starts the min-cost flow from the
-// previous round's residual state.
+// on one persistent retime.MinAreaSolver over the problem's cut pool: each
+// reweighting round warm-starts the min-cost flow from the previous
+// round's residual state, and a round whose labeling misses Tclk adds the
+// cuts it needs to the pool and rebuilds the network. Solve is safe for
+// concurrent use on one Problem; the calls share the pool.
 func (p *Problem) Solve(opt Options) (*Result, error) {
 	return p.SolveContext(context.Background(), opt)
 }
@@ -261,14 +281,11 @@ func (p *Problem) SolveContext(ctx context.Context, opt Options) (*Result, error
 	if opt.MaxIters <= 0 {
 		opt.MaxIters = 30
 	}
-	cs, err := p.constraints()
+	pool, err := p.pool(ctx)
 	if err != nil {
 		return nil, err
 	}
-	solver, err := retime.NewMinAreaSolver(p.Graph, cs)
-	if err != nil {
-		return nil, err
-	}
+	solver := retime.NewMinAreaSolver(pool)
 	// The flow engine needs the context when it must either honor a
 	// deadline between phases or hang its per-solve spans off the caller's
 	// recorder.
@@ -329,7 +346,7 @@ func (p *Problem) SolveContext(ctx context.Context, opt Options) (*Result, error
 			return nil, err
 		}
 		if opt.VerifyWarm {
-			if err := p.verifyWarm(cs, area, ma); err != nil {
+			if err := p.verifyWarm(pool, area, ma); err != nil {
 				rsp.End()
 				return nil, err
 			}
@@ -351,10 +368,8 @@ func (p *Problem) SolveContext(ctx context.Context, opt Options) (*Result, error
 				maxRatio = ratio
 			}
 		}
-		stat := IterStat{NFOA: nfoa, Registers: ma.Registers, MaxRatio: maxRatio,
-			Duration: time.Since(roundStart),
-			Warm:     ma.Stats.Warm, AugPaths: ma.Stats.AugmentingPaths, Phases: ma.Stats.Phases,
-			Labelings: ma.Stats.Labelings, Scans: ma.Stats.Scans, SupplyChanged: ma.Stats.SupplyChanged}
+		stat := iterStat(ma, time.Since(roundStart))
+		stat.NFOA, stat.MaxRatio = nfoa, maxRatio
 		gNfoa.Set(float64(nfoa))
 		hRound.Observe(float64(stat.Duration.Microseconds()) / 1000)
 		rsp.SetAttr("nfoa", float64(nfoa))
@@ -370,6 +385,8 @@ func (p *Problem) SolveContext(ctx context.Context, opt Options) (*Result, error
 		rsp.SetAttr("labelings", float64(ma.Stats.Labelings))
 		rsp.SetAttr("scans", float64(ma.Stats.Scans))
 		rsp.SetAttr("supply_changed", float64(ma.Stats.SupplyChanged))
+		rsp.SetAttr("cuts", float64(ma.Cuts))
+		rsp.SetAttr("rebuilds", float64(ma.Rebuilds))
 
 		if best == nil || cur.NFOA < best.NFOA || (cur.NFOA == best.NFOA && cur.NF < best.NF) {
 			iters := best.itersOrNil()
@@ -421,12 +438,13 @@ func (p *Problem) SolveContext(ctx context.Context, opt Options) (*Result, error
 }
 
 // verifyWarm is the warm/cold equivalence gate: it re-solves the round
-// from scratch and errors if the incremental engine's answer differs in
-// labeling, register count, or weighted area. Labels are compared exactly —
-// residual shortest-path potentials span the optimal dual face, which is
-// the same for every optimal flow, so warm and cold must agree bit for bit.
-func (p *Problem) verifyWarm(cs *retime.Constraints, area []float64, warm *retime.MinAreaResult) error {
-	cold, err := p.Graph.MinAreaWithConstraints(cs, area)
+// from scratch on a fresh solver over the pool and errors if the
+// incremental engine's answer differs in labeling, register count, or
+// weighted area. Labels are compared exactly — residual shortest-path
+// potentials span the optimal dual face, which is the same for every
+// optimal flow, so warm and cold must agree bit for bit.
+func (p *Problem) verifyWarm(pool *retime.CutPool, area []float64, warm *retime.MinAreaResult) error {
+	cold, err := retime.NewMinAreaSolver(pool).Resolve(area)
 	if err != nil {
 		return fmt.Errorf("core: warm/cold gate: cold solve failed: %v", err)
 	}
@@ -445,6 +463,15 @@ func (p *Problem) verifyWarm(cs *retime.Constraints, area []float64, warm *retim
 		}
 	}
 	return nil
+}
+
+// iterStat is the round telemetry of one weighted min-area solve; the
+// caller fills in the violation figures.
+func iterStat(ma *retime.MinAreaResult, d time.Duration) IterStat {
+	return IterStat{Registers: ma.Registers, Duration: d,
+		Warm: ma.Stats.Warm, AugPaths: ma.Stats.AugmentingPaths, Phases: ma.Stats.Phases,
+		Labelings: ma.Stats.Labelings, Scans: ma.Stats.Scans, SupplyChanged: ma.Stats.SupplyChanged,
+		Cuts: ma.Cuts, Rebuilds: ma.Rebuilds}
 }
 
 func (r *Result) itersOrNil() []IterStat {

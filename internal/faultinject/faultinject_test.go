@@ -138,12 +138,8 @@ func TestMinPeriodBracketInvariant(t *testing.T) {
 	}
 	rg := res.Graph
 	feasible := func(T float64) bool {
-		cs, err := rg.BuildConstraints(context.Background(), T)
-		if err != nil {
-			return false
-		}
-		_, ok := cs.Feasible(rg)
-		return ok
+		_, err := retime.NewCutPool(context.Background(), rg, T)
+		return err == nil
 	}
 	for k := 1; ; k++ {
 		ctx := CancelAtNth(k)

@@ -38,8 +38,14 @@ func TestPlanGoldenS400Engine(t *testing.T) {
 		t.Errorf("Tmin %.17g Tclk %.17g, want the golden 3.0401092935255556 / 4.6144248994400368",
 			res.Tmin, res.Tclk)
 	}
-	if n := len(res.Problem.Constraints.Cons); n != 4908 {
-		t.Errorf("%d constraints at Tclk, want 4908", n)
+	// The pool the Tclk probe left (the constraints stage's count) and
+	// the pool after min-area and LAC added the cuts their labelings
+	// needed: engine properties, not answers.
+	if n := stageCounter(res, stageConstraints, "constraints"); n != 1492 {
+		t.Errorf("%g constraints in the pool at Tclk, want 1492", n)
+	}
+	if n := len(res.Problem.Pool.Constraints().Cons); n != 1510 {
+		t.Errorf("%d constraints in the pool after LAC, want 1510", n)
 	}
 	// FNV-1a over the labels written as "r0,r1,...,": a compact pin of all
 	// 665 labels.
@@ -50,25 +56,41 @@ func TestPlanGoldenS400Engine(t *testing.T) {
 	if got := h.Sum64(); len(res.LAC.R) != 665 || got != 0x58534ae3ab78d13 {
 		t.Errorf("LAC labeling: %d labels, hash %#x; want 665, 0x58534ae3ab78d13", len(res.LAC.R), got)
 	}
-	if res.ProbeMem.Sweeps == 0 {
-		t.Error("source reports no sweeps")
+	if res.Problem.Pool.ProbeStats().Cuts == 0 {
+		t.Error("the Tclk probe cut nothing")
 	}
 	if res.ProbeMem.DenseBytes != 0 {
 		t.Error("source reports dense matrix bytes")
 	}
 }
 
-// TestProblemRegeneratesConstraints: a core Problem without a prebuilt
-// constraint system regenerates it at Tclk, and the
-// regenerated system reproduces the planned min-area baseline.
+// stageCounter returns the named counter of the pass's event for stage, or
+// -1 when there is none.
+func stageCounter(res *Result, stage, name string) float64 {
+	for _, ev := range res.Trace {
+		if ev.Stage != stage {
+			continue
+		}
+		for _, c := range ev.Counters {
+			if c.Name == name {
+				return c.Value
+			}
+		}
+	}
+	return -1
+}
+
+// TestProblemRegeneratesConstraints: a core Problem without a cut pool
+// probes Tclk cold for one, and its pool reproduces the planned min-area
+// baseline.
 func TestProblemRegeneratesConstraints(t *testing.T) {
 	nl := smallCircuit(t)
 	res, err := Plan(nl, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := *res.Problem
-	p.Constraints = nil // force a one-shot regeneration
+	q := res.Problem
+	p := &core.Problem{Graph: q.Graph, Tclk: q.Tclk, TileOf: q.TileOf, Cap: q.Cap, FFArea: q.FFArea}
 	ma, err := p.MinAreaBaseline()
 	if err != nil {
 		t.Fatal(err)

@@ -181,8 +181,9 @@ func TestPlanObserved(t *testing.T) {
 		t.Errorf("cuts: counter %d, spans %g, ProbeStats %d", got, cutSpans, res.Probe.Cuts)
 	}
 
-	// Constraint generation belongs to the constraints stage: its sweep
-	// counters land there.
+	// The Tclk probe belongs to the constraints stage: its cut counters
+	// land there, and the stage's constraint count is the pool it left
+	// (edge and pin constraints plus those cuts).
 	for _, ev := range res.Trace {
 		if ev.Stage != "constraints" {
 			continue
@@ -191,22 +192,28 @@ func TestPlanObserved(t *testing.T) {
 		for _, c := range ev.Counters {
 			cs[c.Name] = c.Value
 		}
-		if cs["sweeps"] == 0 || cs["sweeps"] != float64(res.ProbeMem.Sweeps) {
-			t.Errorf("constraints sweeps counter %g, source %d", cs["sweeps"], res.ProbeMem.Sweeps)
+		ps := res.Problem.Pool.ProbeStats()
+		if cs["cuts"] == 0 || cs["cuts"] != float64(ps.Cuts) || cs["cut_rounds"] != float64(ps.CutRounds) {
+			t.Errorf("constraints cuts/cut_rounds %g/%g, pool probe %d/%d", cs["cuts"], cs["cut_rounds"], ps.Cuts, ps.CutRounds)
 		}
-		for _, name := range []string{"sweeps_abandoned"} {
+		base := len(res.Graph.EdgeConstraints()) + len(res.Graph.PinConstraints())
+		if cs["constraints"] != float64(base)+cs["cuts"] {
+			t.Errorf("constraints counter %g, want %d base + %g cuts", cs["constraints"], base, cs["cuts"])
+		}
+		for _, name := range []string{"sweeps", "sweeps_abandoned"} {
 			if _, ok := cs[name]; !ok {
 				t.Errorf("constraints stage missing counter %s", name)
 			}
 		}
 	}
 
-	// The min-area baseline is one flow solve, so its stage holds exactly
-	// one mcmf-solve span. Every solve span carries its labeling and arc
+	// The min-area baseline is one flow solve per network its cut loop
+	// built, so its stage holds one mcmf-solve span more than it counts
+	// rebuilds. Every solve span carries its labeling and arc
 	// scan counts, and the spans, the registry and the two retiming
 	// stages' counters agree on each total.
-	if n := countSpans(sub["minarea"], "mcmf-solve"); n != 1 {
-		t.Errorf("minarea stage has %d mcmf-solve sub-spans, want 1", n)
+	if n, rb := countSpans(sub["minarea"], "mcmf-solve"), stageCounter(res, "minarea", "rebuilds"); rb < 0 || n != 1+int(rb) {
+		t.Errorf("minarea stage has %d mcmf-solve sub-spans after %g rebuilds, want one more", n, rb)
 	}
 	for _, attr := range []string{"labelings", "scans"} {
 		spanTotal, stageTotal := 0.0, 0.0

@@ -51,8 +51,8 @@ func TestLazyEngineSmokeS5378(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ProbeMem.Sweeps == 0 {
-		t.Fatal("lazy engine swept nothing")
+	if res.Problem.Pool.ProbeStats().Cuts == 0 {
+		t.Fatal("the Tclk probe cut nothing")
 	}
 	if res.ProbeMem.DenseBytes != 0 {
 		t.Fatalf("lazy engine reports %d dense bytes", res.ProbeMem.DenseBytes)
@@ -68,7 +68,7 @@ func TestLazyEngineSmokeS5378(t *testing.T) {
 	if res.TminLo != 0 || math.Abs(res.Tmin-32.302633) >= 1e-6 {
 		t.Fatalf("converged Tmin %.9f (TminLo %g), want 32.302633", res.Tmin, res.TminLo)
 	}
-	t.Logf("s5378 plan: %d vertices, Tmin=%.6f Tclk=%.3f, %d cuts in %d rounds, constraint sweeps: %d (%d abandoned), degraded=%v",
-		res.Graph.N(), res.Tmin, res.Tclk, res.Probe.Cuts, res.Probe.CutRounds, res.ProbeMem.Sweeps, res.ProbeMem.Abandoned,
-		res.TruncatedStages())
+	t.Logf("s5378 plan: %d vertices, Tmin=%.6f Tclk=%.3f, %d cuts in %d rounds, pool at Tclk: %d cuts (+%d after), degraded=%v",
+		res.Graph.N(), res.Tmin, res.Tclk, res.Probe.Cuts, res.Probe.CutRounds, res.Problem.Pool.ProbeStats().Cuts,
+		res.Problem.Pool.Stats().Cuts, res.TruncatedStages())
 }

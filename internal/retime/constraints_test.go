@@ -97,13 +97,13 @@ func TestLazySourceAbandonsPeriphery(t *testing.T) {
 	rg.AddEdge(a, b, 1)
 	rg.AddEdge(b, a, 1)
 	rg.AddEdge(b, c, 1)
-	cs, err := rg.BuildConstraints(context.Background(), rg.MaxDelay())
+	_, sweeps, abandoned, err := rg.buildConstraintsCounted(context.Background(), rg.MaxDelay())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// a and b reach the cycle: suffix +Inf, never abandoned; c is.
-	if cs.Abandoned != 1 || cs.Sweeps != 2 {
-		t.Fatalf("abandoned %d, sweeps %d; want 1 abandoned sink and 2 sweeps", cs.Abandoned, cs.Sweeps)
+	if abandoned != 1 || sweeps != 2 {
+		t.Fatalf("abandoned %d, sweeps %d; want 1 abandoned sink and 2 sweeps", abandoned, sweeps)
 	}
 }
 

@@ -9,14 +9,12 @@ import (
 
 func TestMinAreaSolverMatchesOneShot(t *testing.T) {
 	rg := ring(6, 1, 3)
-	cs, err := rg.BuildConstraints(context.Background(), 2)
+	pool, err := NewCutPool(context.Background(), rg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewMinAreaSolver(rg, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewMinAreaSolver(pool)
+	var last *MinAreaResult
 	for round, area := range [][]float64{
 		nil,
 		{1, 1, 1, 1, 1, 1},
@@ -27,7 +25,7 @@ func TestMinAreaSolverMatchesOneShot(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		cold, err := rg.MinAreaWithConstraints(cs, area)
+		cold, err := minAreaFull(rg, 2, area)
 		if err != nil {
 			t.Fatalf("round %d: cold: %v", round, err)
 		}
@@ -43,9 +41,10 @@ func TestMinAreaSolverMatchesOneShot(t *testing.T) {
 		if warm.Stats.Warm != (round > 0) {
 			t.Fatalf("round %d: Warm=%v", round, warm.Stats.Warm)
 		}
+		last = warm
 	}
 	// The fourth round repeated the third's weights: nothing to route.
-	if st := s.Stats(); st.AugmentingPaths != 0 || st.SupplyChanged != 0 {
+	if st := last.Stats; st.AugmentingPaths != 0 || st.SupplyChanged != 0 {
 		t.Fatalf("repeat round stats: %+v", st)
 	}
 }
@@ -53,7 +52,7 @@ func TestMinAreaSolverMatchesOneShot(t *testing.T) {
 // TestMinAreaSolverWarmEqualsCold is the randomized warm/cold equivalence
 // gate at the retime level: random graphs, rounds of random per-vertex
 // weights, every round's persistent-solver result compared against a
-// from-scratch MinAreaWithConstraints. Labels must match exactly (residual
+// from-scratch solve of the full system. Labels must match exactly (residual
 // shortest-path potentials are canonical across optimal flows), hence so do
 // Registers and WeightedArea.
 func TestMinAreaSolverWarmEqualsCold(t *testing.T) {
@@ -64,14 +63,11 @@ func TestMinAreaSolverWarmEqualsCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		cs, err := rg.BuildConstraints(context.Background(), T) // r = 0 is feasible at the initial period
+		pool, err := NewCutPool(context.Background(), rg, T) // r = 0 is feasible at the initial period
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		s, err := NewMinAreaSolver(rg, cs)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		s := NewMinAreaSolver(pool)
 		for round := 0; round < 6; round++ {
 			var area []float64
 			if round > 0 { // round 0 exercises the nil (uniform) path
@@ -84,7 +80,7 @@ func TestMinAreaSolverWarmEqualsCold(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d round %d: %v", trial, round, err)
 			}
-			cold, err := rg.MinAreaWithConstraints(cs, area)
+			cold, err := minAreaFull(rg, T, area)
 			if err != nil {
 				t.Fatalf("trial %d round %d: cold: %v", trial, round, err)
 			}
@@ -112,18 +108,11 @@ func TestMinAreaSolverWarmEqualsCold(t *testing.T) {
 
 func TestNewMinAreaSolverValidation(t *testing.T) {
 	rg := ring(6, 1, 3)
-	cs, err := rg.BuildConstraints(context.Background(), 2)
+	pool, err := NewCutPool(context.Background(), rg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := ring(4, 1, 2)
-	if _, err := NewMinAreaSolver(other, cs); err == nil {
-		t.Fatal("vertex-count mismatch accepted")
-	}
-	s, err := NewMinAreaSolver(rg, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewMinAreaSolver(pool)
 	if _, err := s.Resolve([]float64{1, 2}); err == nil {
 		t.Fatal("short area vector accepted")
 	}
@@ -139,11 +128,8 @@ func TestNewMinAreaSolverInfeasible(t *testing.T) {
 	// A 3-ring with 1 register and unit delays cannot meet T=1: every
 	// legal register distribution leaves a 2-delay combinational path.
 	rg := ring(3, 1, 1)
-	cs := &Constraints{N: rg.N(), Cons: []Constraint{
-		{U: 0, V: 1, Bound: -1}, {U: 1, V: 2, Bound: -1}, {U: 2, V: 0, Bound: -1},
-	}}
-	if _, err := NewMinAreaSolver(rg, cs); err == nil {
-		t.Fatal("infeasible constraint system accepted")
+	if _, err := NewCutPool(context.Background(), rg, 1); err == nil {
+		t.Fatal("infeasible period accepted")
 	} else if _, ok := err.(ErrInfeasible); !ok {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}

@@ -90,5 +90,5 @@ func oracleConstraints(rg *Graph, wd *WD, T float64) (*Constraints, error) {
 			}
 		}
 	}
-	return rg.assemble(clock), nil
+	return assemble(rg.N(), rg.EdgeConstraints(), clock, rg.PinConstraints()), nil
 }

@@ -324,12 +324,8 @@ func TestMinAreaWeightedMovesRegisters(t *testing.T) {
 	// Expensive registers on the input side: the register must end on b's
 	// out-edge (the only cheap tail).
 	rg := build()
-	cs, err := rg.BuildConstraints(context.Background(), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
 	area := []float64{10, 10, 1, 1} // pi, a, b, po
-	res, err := rg.MinAreaWithConstraints(cs, area)
+	res, err := minAreaAt(rg, 100, area)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +337,7 @@ func TestMinAreaWeightedMovesRegisters(t *testing.T) {
 	// Expensive on the output side: the register must avoid b's tile.
 	rg = build()
 	area = []float64{1, 1, 10, 10}
-	res, err = rg.MinAreaWithConstraints(cs, area)
+	res, err = minAreaAt(rg, 100, area)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,9 @@ func (rg *Graph) MinAreaShared(T float64) (*SharedMinAreaResult, error) {
 		}
 	}
 
-	cs, err := ext.BuildConstraints(context.Background(), T)
+	// The mirror vertices have zero delay and no fanout, so the extended
+	// graph's timing is the original's and its cut pool serves as usual.
+	pool, err := NewCutPool(context.Background(), ext, T)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +77,7 @@ func (rg *Graph) MinAreaShared(T float64) (*SharedMinAreaResult, error) {
 	for ei, c := range costOf {
 		cost[ei] = c
 	}
-	res, err := ext.minAreaEdgeCosts(cs, cost, false)
+	res, err := NewMinAreaSolver(pool).resolveEdgeCosts(cost, false)
 	if err != nil {
 		return nil, err
 	}
