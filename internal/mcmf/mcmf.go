@@ -838,6 +838,14 @@ var augmentCheck func(g *Graph, pot []float64)
 // cost pmax − pot[v] with pmax the largest potential, and a reduced
 // distance key converts back as key − pmax + pot[v]. With integral costs
 // and potentials every step is exact, so both methods agree bit for bit.
+//
+// After a Resolve the returned slice is the solver's Dijkstra scratch: it
+// is valid until the next Resolve or Potentials call. Every node starts at
+// its root key, so the search does not queue them all: one pass over the
+// residual arcs relaxes each node's out-arcs from its root key, and only
+// the nodes that pass lowered enter the heap. A node never lowered keeps
+// its root key, which is final, and the pass has already relaxed its arcs
+// from it.
 func (g *Graph) Potentials() ([]float64, error) {
 	g.freeze()
 	if g.pot == nil {
@@ -845,19 +853,33 @@ func (g *Graph) Potentials() ([]float64, error) {
 	}
 	n := g.n
 	g.ensureScratch()
-	arcs, start, pot, done := g.arcs, g.start, g.pot, g.visited[:n]
+	arcs, start, pot, done, key := g.arcs, g.start, g.pot, g.visited[:n], g.dist[:n]
 	pmax := math.Inf(-1)
 	for _, p := range pot {
 		pmax = math.Max(pmax, p)
 	}
-	key := make([]float64, n)
-	g.heap.reset()
 	for v := range key {
 		key[v] = pmax - pot[v]
 		done[v] = false
-		g.heap.items = append(g.heap.items, pqItem{v: v, dist: key[v]})
 	}
-	g.heap.init()
+	g.heap.reset()
+	for u := range key {
+		ku, pu := key[u], pot[u]
+		for i := start[u]; i < start[u+1]; i++ {
+			a := &arcs[i]
+			if a.cap <= Eps {
+				continue
+			}
+			rc := a.cost + pu - pot[a.to]
+			if rc < 0 {
+				rc = 0 // floating-point drift, as in route
+			}
+			if nd := ku + rc; nd < key[a.to]-costEps {
+				key[a.to] = nd
+				g.heap.push(pqItem{v: int(a.to), dist: nd})
+			}
+		}
+	}
 	for g.heap.len() > 0 {
 		it := g.heap.pop()
 		if done[it.v] {
