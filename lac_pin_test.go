@@ -72,26 +72,7 @@ func TestLACAnswersPinned(t *testing.T) {
 			{228, 835}, {248, 849}, {296, 828}, {296, 828}, {313, 843}}},
 	}
 	for _, circuit := range []string{"s953", "s641", "s1196", "s1423"} {
-		req := job.PlanRequest{Source: job.Source{Circuit: circuit}}
-		req.Normalize()
-		nl, err := req.Source.Netlist()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := req.PlanConfig()
-		st, err := plan.NewState(nl, &cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stages []plan.Stage
-		for _, s := range plan.DefaultStages() {
-			if s.Name() != "lac" {
-				stages = append(stages, s)
-			}
-		}
-		if err := st.RunContext(context.Background(), stages, &cfg); err != nil {
-			t.Fatalf("%s: %v", circuit, err)
-		}
+		st, cfg := planBeforeLAC(t, circuit)
 		for _, alpha := range []float64{0.05, 0.2, 1.0} {
 			opt := cfg.LAC
 			opt.Alpha, opt.AlphaSet = alpha, true
@@ -137,6 +118,75 @@ func TestLACWarmColdReweighted(t *testing.T) {
 				t.Fatalf("%s alpha %g: %d rounds, %d warm with a global supply change; want a reweighted one",
 					circuit, alpha, res.NWR, global)
 			}
+		}
+	}
+}
+
+// planBeforeLAC plans a catalog circuit through min-area retiming at the
+// default request configuration, as lacplan, table1 and lacretd plan it.
+func planBeforeLAC(t *testing.T, circuit string) (*plan.PlanState, plan.Config) {
+	t.Helper()
+	req := job.PlanRequest{Source: job.Source{Circuit: circuit}}
+	req.Normalize()
+	nl, err := req.Source.Netlist()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := req.PlanConfig()
+	st, err := plan.NewState(nl, &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stages []plan.Stage
+	for _, s := range plan.DefaultStages() {
+		if s.Name() != "lac" {
+			stages = append(stages, s)
+		}
+	}
+	if err := st.RunContext(context.Background(), stages, &cfg); err != nil {
+		t.Fatalf("%s: %v", circuit, err)
+	}
+	return st, cfg
+}
+
+// TestLACAlphaOrderIndependent runs the planner benchmark's alpha grid
+// forward on one Problem and reversed on another, then forward again on
+// the second, whose pool the reversed run grew: every alpha's answer must
+// be the same in all three, so the answers do not depend on what the cut
+// pool held when a solve started.
+func TestLACAlphaOrderIndependent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("catalog circuits in short mode")
+	}
+	alphas := []float64{0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0}
+	for _, circuit := range []string{"s641", "s1196"} {
+		solve := func(st *plan.PlanState, cfg plan.Config, alpha float64) lacPin {
+			opt := cfg.LAC
+			opt.Alpha, opt.AlphaSet = alpha, true
+			res, err := st.Result.Problem.Solve(opt)
+			if err != nil {
+				t.Fatalf("%s alpha %g: %v", circuit, alpha, err)
+			}
+			return pinOf(res)
+		}
+		fwd, fcfg := planBeforeLAC(t, circuit)
+		want := map[float64]string{}
+		for _, a := range alphas {
+			want[a] = solve(fwd, fcfg, a).String()
+		}
+		rev, rcfg := planBeforeLAC(t, circuit)
+		for i := len(alphas) - 1; i >= 0; i-- {
+			if got := solve(rev, rcfg, alphas[i]).String(); got != want[alphas[i]] {
+				t.Errorf("%s@%g reversed: %s, forward %s", circuit, alphas[i], got, want[alphas[i]])
+			}
+		}
+		for _, a := range alphas {
+			if got := solve(rev, rcfg, a).String(); got != want[a] {
+				t.Errorf("%s@%g forward after reversed: %s, forward %s", circuit, a, got, want[a])
+			}
+		}
+		if rev.Result.Problem.Pool.Stats().Cuts == 0 {
+			t.Errorf("%s: the sweep never grew the pool", circuit)
 		}
 	}
 }
