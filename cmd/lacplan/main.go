@@ -244,9 +244,12 @@ func formatProbe(p retime.ProbeStats) string {
 		p.Probes, p.Warm, p.WitnessRejects, p.BoundRejects, p.PairsScanned, p.Cuts, p.CutRounds)
 }
 
-// formatProbeMem renders the sweep counts of constraint generation.
-func formatProbeMem(mem retime.SourceMem) string {
-	return fmt.Sprintf("%d (%d abandoned)", mem.Sweeps, mem.Abandoned)
+// formatPool renders the cut pool at Tclk: the cuts its probe found, and
+// those the min-area and LAC solves added.
+func formatPool(pool *retime.CutPool) string {
+	ps, gs := pool.ProbeStats(), pool.Stats()
+	return fmt.Sprintf("%d cuts in %d rounds at Tclk, +%d cuts from %d timed labelings",
+		ps.Cuts, ps.CutRounds, gs.Cuts, gs.Rounds)
 }
 
 func report(res *plan.Result, tilemap, verbose bool) {
@@ -262,7 +265,9 @@ func report(res *plan.Result, tilemap, verbose bool) {
 	if res.Probe.Probes > 0 {
 		fmt.Printf("period probes: %s\n", formatProbe(res.Probe))
 	}
-	fmt.Printf("constraint sweeps: %s\n", formatProbeMem(res.ProbeMem))
+	if res.Problem != nil && res.Problem.Pool != nil {
+		fmt.Printf("constraint pool: %s\n", formatPool(res.Problem.Pool))
+	}
 	if res.TminLo > 0 {
 		fmt.Printf("period search truncated at budget: true Tmin in (%.3f, %.3f] ns (bracket width %.3f ns)\n",
 			res.TminLo, res.Tmin, res.Tmin-res.TminLo)

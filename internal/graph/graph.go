@@ -1,7 +1,8 @@
 // Package graph provides the directed-graph primitives used throughout the
 // planner: adjacency-list digraphs, topological ordering, strongly connected
 // components, difference-constraint solving (worklist SPFA), and the
-// lexicographic Dijkstra used by retiming-constraint generation.
+// lexicographic W/D sweeps behind the retiming tests' full
+// clock-constraint oracle.
 //
 // Vertices are dense integer IDs in [0, N). All algorithms are deterministic:
 // ties are broken by vertex ID so repeated runs produce identical results.

@@ -412,7 +412,7 @@ const (
 
 // DefaultStages returns the paper's flow: partition → floorplan → tile
 // grid → global routing → repeater planning → retiming-graph build →
-// period derivation → constraint generation → min-area retiming →
+// period derivation → clock constraints (a cut pool at Tclk) → min-area retiming →
 // LAC-retiming.
 func DefaultStages() []Stage {
 	return []Stage{

@@ -57,7 +57,7 @@ var applyForProbe = (*Graph).Apply
 // instead of rebuilding the full constraint system over all O(V²) pairs.
 // The floor only removes work: the bracket and its midpoints are those of
 // a search floored at the maximum vertex delay, and verdicts and
-// labelings are identical to the cold BuildConstraints+Feasible path.
+// labelings are identical to the cold full-system path.
 //
 // Under a context the deadline is checked between probes; on expiry the
 // search returns a typed *ErrBudgetExceeded carrying the current bracket
