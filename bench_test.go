@@ -217,8 +217,8 @@ func BenchmarkPoolMinArea(b *testing.B) {
 // benchStage plans s953 the way the planner benchmark configures a pass
 // (the default request, normalized, so the seed is the catalog seed)
 // through the stages before the named one, then times only that stage,
-// re-run on the same state.
-func benchStage(b *testing.B, name string) {
+// re-run on the same state, and returns the state.
+func benchStage(b *testing.B, name string) *plan.PlanState {
 	req := job.PlanRequest{Source: job.Source{Circuit: "s953"}}
 	req.Normalize()
 	nl, err := req.Source.Netlist()
@@ -251,9 +251,16 @@ func benchStage(b *testing.B, name string) {
 			b.Fatal(err)
 		}
 	}
+	return st
 }
 
 // Front-end stage costs: the sequence-pair annealer and the maze router
-// with rip-up and re-route, each timed alone on a planned s953.
+// with rip-up and re-route, each timed alone on a planned s953. The
+// router's searches/op and settled/op (cells expanded) are deterministic.
 func BenchmarkFloorplanStage(b *testing.B) { benchStage(b, "floorplan") }
-func BenchmarkRouteStage(b *testing.B)     { benchStage(b, "route") }
+
+func BenchmarkRouteStage(b *testing.B) {
+	res := benchStage(b, "route").Routing
+	b.ReportMetric(float64(res.Searches), "searches/op")
+	b.ReportMetric(float64(res.Settled), "settled/op")
+}

@@ -9,6 +9,7 @@ import (
 
 	"lacret/internal/bench89"
 	"lacret/internal/core"
+	"lacret/internal/route"
 )
 
 // TestPlanGoldenS400Engine pins what TestPlanGoldenS400 does not: the
@@ -140,5 +141,26 @@ func TestConstraintsStageCancelled(t *testing.T) {
 	}
 	if st.Constraints != nil {
 		t.Fatal("cancelled stage committed a constraint system")
+	}
+}
+
+// TestFractionalRouteCapacityFails: a fractional Config.RouteCapacity
+// fails the pass in the route stage with route.ErrNotIntegral, and the
+// stage commits no routing.
+func TestFractionalRouteCapacityFails(t *testing.T) {
+	cfg := Config{Seed: 1, RouteCapacity: 12.5}
+	st, err := NewState(smallCircuit(t), &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = st.RunContext(context.Background(), DefaultStages(), &cfg)
+	if !errors.Is(err, route.ErrNotIntegral) {
+		t.Fatalf("err = %v, want route.ErrNotIntegral", err)
+	}
+	if n := len(st.Result.Trace); n == 0 || st.Result.Trace[n-1].Stage != stageRoute {
+		t.Fatalf("pass did not stop in the route stage: %d events", n)
+	}
+	if st.Routing != nil {
+		t.Fatal("failed route stage committed a routing")
 	}
 }

@@ -106,6 +106,24 @@ func TestPlanObserved(t *testing.T) {
 			t.Errorf("stage %s has %d %q sub-spans, want >= %d", c.stage, n, c.span, c.min)
 		}
 	}
+	// The route stage counts its maze searches and the cells they
+	// settled; the initial routing and every rip-up round carry their
+	// share as span attrs.
+	for _, attr := range []string{"searches", "settled"} {
+		spanTotal := 0.0
+		for _, name := range []string{"initial", "round"} {
+			forEachSpan(sub["route"], name, func(sp *obs.Span) {
+				v, ok := sp.Attr(attr)
+				if !ok {
+					t.Errorf("route %s span missing %s attr", name, attr)
+				}
+				spanTotal += v
+			})
+		}
+		if got := stageCounter(res, "route", attr); got <= 0 || got != spanTotal {
+			t.Errorf("route stage counter %s = %g, spans sum to %g", attr, got, spanTotal)
+		}
+	}
 	if n := countSpans(sub["periods"], "probe"); n > 0 {
 		// Every probe records its target period and feasibility verdict.
 		for _, sp := range sub["periods"] {

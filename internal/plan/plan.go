@@ -57,7 +57,9 @@ type Config struct {
 	ChannelWidth float64
 	// Tile tunes grid construction.
 	Tile tile.Params
-	// RouteCapacity is the per-boundary routing capacity (default 16).
+	// RouteCapacity is the per-boundary routing capacity (default 16). It
+	// must be an integer (see route.Options): the route stage fails with
+	// route.ErrNotIntegral otherwise.
 	RouteCapacity float64
 	// TclkSlack positions the target period between Tmin and Tinit:
 	// Tclk = Tmin + TclkSlack*(Tinit-Tmin) (default 0.2, the paper's

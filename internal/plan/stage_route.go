@@ -122,11 +122,15 @@ func (routeStage) Run(ctx context.Context, st *PlanState, cfg *Config) error {
 
 func (routeStage) Counters(st *PlanState) []Counter {
 	res := st.Result
-	return []Counter{
+	cs := []Counter{
 		{"nets", float64(res.InterBlockNets)},
 		{"wirelength", res.RouteWirelength},
 		{"overflow", float64(res.RouteOverflow)},
 	}
+	if r := st.Routing; r != nil { // nil when the stage failed
+		cs = append(cs, Counter{"searches", float64(r.Searches)}, Counter{"settled", float64(r.Settled)})
+	}
+	return cs
 }
 
 // assignPads distributes primary inputs and outputs over the grid's
