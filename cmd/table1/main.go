@@ -128,13 +128,13 @@ func main() {
 			}
 		}
 	}
-	rows, avg := experiments.Table1RunContext(ctx, cfg, names, experiments.Table1Opts{
+	rows, _ := experiments.Table1RunContext(ctx, cfg, names, experiments.Table1Opts{
 		Jobs: *jobs, Progress: progress, Obs: o.Recorder,
 	})
 	if *md {
-		fmt.Print(experiments.FormatMarkdown(rows, avg))
+		fmt.Print(experiments.FormatMarkdown(rows))
 	} else {
-		fmt.Print(experiments.FormatTable(rows, avg))
+		fmt.Print(experiments.FormatTable(rows))
 	}
 	if *verbose {
 		fmt.Fprintf(os.Stderr, "stage summary (all passes, all workers):\n%s",

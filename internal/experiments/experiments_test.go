@@ -68,29 +68,61 @@ func TestFormatTable(t *testing.T) {
 			Circuit: "sX", TclkNS: 2.5, TinitNS: 5.0,
 			MinArea: Side{NFOA: 10, NF: 100, NFN: 20, Texec: time.Second},
 			LAC:     Side{NFOA: 2, NF: 102, NFN: 25, NWR: 4, Texec: 2 * time.Second},
-			NFOA2:   0, DecreasePct: 80,
+			NFOA2:   0, Pass1DecreasePct: 80, DecreasePct: 80,
 		},
 		{
 			Circuit: "sY", TclkNS: 1, TinitNS: 2,
-			MinArea:     Side{NFOA: 0, NF: 50, NFN: 5, Texec: time.Second},
-			LAC:         Side{NFOA: 0, NF: 50, NFN: 5, NWR: 1, Texec: time.Second},
-			NFOA2:       -1,
-			DecreasePct: -1,
+			MinArea:          Side{NFOA: 0, NF: 50, NFN: 5, Texec: time.Second},
+			LAC:              Side{NFOA: 0, NF: 50, NFN: 5, NWR: 1, Texec: time.Second},
+			NFOA2:            -1,
+			Pass1DecreasePct: -1,
+			DecreasePct:      -1,
 		},
 		{
 			Circuit: "sZ", TclkNS: 1, TinitNS: 2,
-			MinArea:       Side{NFOA: 5, NF: 50, NFN: 5, Texec: time.Second},
-			LAC:           Side{NFOA: 3, NF: 50, NFN: 5, NWR: 2, Texec: time.Second},
-			NFOA2:         -1,
-			SecondIterErr: "plan: target period 1 infeasible",
-			DecreasePct:   40,
+			MinArea:          Side{NFOA: 5, NF: 50, NFN: 5, Texec: time.Second},
+			LAC:              Side{NFOA: 3, NF: 50, NFN: 5, NWR: 2, Texec: time.Second},
+			NFOA2:            -1,
+			SecondIterErr:    "plan: target period 1 infeasible",
+			Pass1DecreasePct: 40,
+			DecreasePct:      40,
 		},
 	}
-	out := FormatTable(rows, 60)
+	out := FormatTable(rows)
 	for _, want := range []string{"sX", "2 (0)", "N/A", "80%", "(inf.)", "Average 60%"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestDecreaseHeadlineIsPassOne: SetDecreases computes the pass-1 and
+// after-expansion decreases from a row's N_FOA columns, and both tables
+// print the pass-1 average as the headline with the after-expansion
+// average beside it.
+func TestDecreaseHeadlineIsPassOne(t *testing.T) {
+	rows := []Row{
+		{Circuit: "sA", MinArea: Side{NFOA: 100}, LAC: Side{NFOA: 50}, NFOA2: 10},                   // 50%, then 90%
+		{Circuit: "sB", MinArea: Side{NFOA: 40}, LAC: Side{NFOA: 0}, NFOA2: -1},                     // 100% in one pass
+		{Circuit: "sC", MinArea: Side{NFOA: 20}, LAC: Side{NFOA: 8}, NFOA2: -1, SecondIterErr: "x"}, // 60% in one pass
+		{Circuit: "sD", MinArea: Side{NFOA: 0}, LAC: Side{NFOA: 0}, NFOA2: -1},                      // N/A
+	}
+	want := [][2]float64{{50, 90}, {100, 100}, {60, 60}, {-1, -1}}
+	for i := range rows {
+		rows[i].SetDecreases()
+		if got := [2]float64{rows[i].Pass1DecreasePct, rows[i].DecreasePct}; got != want[i] {
+			t.Errorf("%s: decreases %v, want %v", rows[i].Circuit, got, want[i])
+		}
+	}
+	pass1, final := Averages(rows)
+	if pass1 != 70 || final != 250.0/3 {
+		t.Fatalf("averages %g / %g, want 70 / %g", pass1, final, 250.0/3)
+	}
+	if out := FormatTable(rows); !strings.Contains(out, "Average 70% in one pass (83% after expansion)") {
+		t.Errorf("table headline:\n%s", out)
+	}
+	if out := FormatMarkdown(rows); !strings.Contains(out, "**Average N_FOA decrease: 70% in one planning pass** (83% after floorplan expansion") {
+		t.Errorf("markdown headline:\n%s", out)
 	}
 }
 
@@ -126,12 +158,13 @@ func TestAlphaSweepUnknown(t *testing.T) {
 func TestFormatMarkdown(t *testing.T) {
 	rows := []Row{{
 		Circuit: "sM", TclkNS: 2, TinitNS: 4,
-		MinArea:     Side{NFOA: 10, NF: 100, NFN: 20, Texec: time.Second},
-		LAC:         Side{NFOA: 0, NF: 100, NFN: 25, NWR: 3, Texec: time.Second},
-		NFOA2:       -1,
-		DecreasePct: 100,
+		MinArea:          Side{NFOA: 10, NF: 100, NFN: 20, Texec: time.Second},
+		LAC:              Side{NFOA: 0, NF: 100, NFN: 25, NWR: 3, Texec: time.Second},
+		NFOA2:            -1,
+		Pass1DecreasePct: 100,
+		DecreasePct:      100,
 	}}
-	out := FormatMarkdown(rows, 100)
+	out := FormatMarkdown(rows)
 	for _, want := range []string{"| sM |", "100%", "Average N_FOA decrease: 100%"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("markdown missing %q:\n%s", want, out)
@@ -170,11 +203,11 @@ func TestSecondIterationDrivesDecrease(t *testing.T) {
 // canonicalRow serializes every deterministic field of a row; the wall-time
 // fields (Texec, the trace walls) are inherently run-dependent and excluded.
 func canonicalRow(r Row) string {
-	return fmt.Sprintf("%s|%v|%v|%v|%d %d %d %d|%d %d %d %d|%d|%s|%v|%s",
+	return fmt.Sprintf("%s|%v|%v|%v|%d %d %d %d|%d %d %d %d|%d|%s|%v %v|%s",
 		r.Circuit, r.TclkNS, r.TinitNS, r.TminNS,
 		r.MinArea.NFOA, r.MinArea.NF, r.MinArea.NFN, r.MinArea.NWR,
 		r.LAC.NFOA, r.LAC.NF, r.LAC.NFN, r.LAC.NWR,
-		r.NFOA2, r.SecondIterErr, r.DecreasePct, r.Err)
+		r.NFOA2, r.SecondIterErr, r.Pass1DecreasePct, r.DecreasePct, r.Err)
 }
 
 // TestTable1ParallelMatchesSequential is the determinism contract of the
@@ -209,7 +242,7 @@ func TestTable1RunErrorIsolation(t *testing.T) {
 			t.Fatalf("row %d = %+v", i, rows[i])
 		}
 	}
-	out := FormatTable(rows, avg)
+	out := FormatTable(rows)
 	if !strings.Contains(out, "ERROR") {
 		t.Fatalf("table does not surface row errors:\n%s", out)
 	}
@@ -268,7 +301,7 @@ func TestTable1SingleCircuit(t *testing.T) {
 	if rows[0].DecreasePct < 0 && avg != 0 {
 		t.Fatalf("avg %g with no violating rows", avg)
 	}
-	out := FormatTable(rows, avg)
+	out := FormatTable(rows)
 	if !strings.Contains(out, "s386") {
 		t.Fatal("table missing circuit")
 	}

@@ -3,6 +3,7 @@ package lacret
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"reflect"
 	"sync"
@@ -139,5 +140,56 @@ func TestTable1Golden(t *testing.T) {
 			wb, _ := json.Marshal(w)
 			t.Errorf("%s:\n got %s\nwant %s", name, gb, wb)
 		}
+	}
+}
+
+// TestTable1GoldenAverages rebuilds the Table 1 rows from the pinned
+// columns of testdata/table1_golden.json and checks the headline as the
+// table prints it: the nine circuits below s5378 average a 91% N_FOA
+// decrease in one planning pass and 93% after floorplan expansion; with
+// s5378 (under LACRET_SMOKE, as in TestTable1Golden) 84%, the paper's
+// one-pass figure, and 94%.
+func TestTable1GoldenAverages(t *testing.T) {
+	b, err := os.ReadFile(table1GoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pinned map[string][]table1Pass
+	if err := json.Unmarshal(b, &pinned); err != nil {
+		t.Fatalf("%s: %v", table1GoldenPath, err)
+	}
+	smoke := os.Getenv("LACRET_SMOKE") != ""
+	var rows []experiments.Row
+	for _, name := range experiments.Table1Names() {
+		if name == "s5378" && !smoke {
+			continue
+		}
+		passes := pinned[name]
+		if len(passes) == 0 || passes[0].MinArea == nil || passes[0].LAC == nil {
+			t.Fatalf("%s: no pass-1 columns in %s", name, table1GoldenPath)
+		}
+		row := experiments.Row{
+			Circuit: name,
+			MinArea: experiments.Side{NFOA: passes[0].MinArea.NFOA},
+			LAC:     experiments.Side{NFOA: passes[0].LAC.NFOA},
+			NFOA2:   -1,
+		}
+		if len(passes) > 1 {
+			if p2 := passes[1]; p2.Err != "" {
+				row.SecondIterErr = p2.Err
+			} else {
+				row.NFOA2 = p2.LAC.NFOA
+			}
+		}
+		row.SetDecreases()
+		rows = append(rows, row)
+	}
+	want := "91% / 93%"
+	if smoke {
+		want = "84% / 94%"
+	}
+	pass1, final := experiments.Averages(rows)
+	if got := fmt.Sprintf("%.0f%% / %.0f%%", pass1, final); got != want {
+		t.Errorf("%d circuits average %s (pass 1 / after expansion), want %s", len(rows), got, want)
 	}
 }
