@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -114,6 +115,75 @@ func TestPoolCutsAreImplied(t *testing.T) {
 	if pool.ProbeStats().Cuts == 0 {
 		t.Fatal("the probe at 0.8·Period cut nothing")
 	}
+}
+
+// TestEveryCutIsImplied: every path cut a solver holds is implied by the
+// full system. After a MinPeriod search, and after a probe at Tclk plus
+// uniform and weighted min-area solves on its pool, each finite-key arc
+// (u, v, bound, d) of both solvers is checked against the W/D oracle: its
+// path is register-free under some labeling, so bound ≥ W(u,v) − 1; a
+// larger bound is implied by the edge constraints along a minimum-W path,
+// and an equal one needs D(u,v) ≥ d, so the full system constrains (u,v)
+// at every period the cut is active at.
+func TestEveryCutIsImplied(t *testing.T) {
+	cuts := 0
+	verify := func(t *testing.T, what string, fs *FeasSolver, wd *WD) {
+		t.Helper()
+		for v, a := range fs.arcs {
+			for _, c := range a {
+				if math.IsInf(c.d, 1) {
+					continue
+				}
+				cuts++
+				w, d := int(wd.W[c.u][v]), wd.D[c.u][v]
+				if w < 0 || w-1 > int(c.bound) || (w-1 == int(c.bound) && d < c.d) {
+					t.Fatalf("%s: cut r(%d) − r(%d) ≤ %d keyed %.17g is not implied: W = %d, D = %.17g",
+						what, c.u, v, c.bound, c.d, w, d)
+				}
+			}
+		}
+	}
+	check := func(t *testing.T, what string, rg *Graph, rng *rand.Rand) {
+		t.Helper()
+		wd := oracleWD(rg)
+		fs := NewFeasSolver(rg)
+		tmin, _, _, err := rg.minPeriod(context.Background(), fs, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verify(t, what+" period search", fs, wd)
+		p, err := rg.Period()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, err := NewCutPool(context.Background(), rg, tmin+0.2*(p-tmin))
+		if err != nil {
+			t.Fatal(err)
+		}
+		area := make([]float64, rg.N())
+		for v := range area {
+			area[v] = 0.1 + 3*rng.Float64()
+		}
+		s := NewMinAreaSolver(pool)
+		for _, a := range [][]float64{nil, area} {
+			if _, err := s.Resolve(a); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		}
+		verify(t, what+" Tclk pool", pool.fs, wd)
+	}
+	for seed := int64(0); seed < 32; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		check(t, fmt.Sprintf("seed %d", seed), randomGraph(rng, 5+rng.Intn(8), seed%2 == 1), rng)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, name := range []string{"s386", "s400"} {
+		check(t, name, bench89Graph(t, name), rng)
+	}
+	if cuts == 0 {
+		t.Fatal("no solver held a cut")
+	}
+	t.Logf("%d cuts checked", cuts)
 }
 
 // TestCutPoolCancelled: a cancelled context stops the probe between its
