@@ -41,12 +41,13 @@ func TestPlanGoldenS400Engine(t *testing.T) {
 	}
 	// The pool the Tclk probe left (the constraints stage's count) and
 	// the pool after min-area and LAC added the cuts their labelings
-	// needed: engine properties, not answers.
-	if n := stageCounter(res, stageConstraints, "constraints"); n != 1492 {
-		t.Errorf("%g constraints in the pool at Tclk, want 1492", n)
+	// needed: engine properties, not answers. They move with the cut rule
+	// (every too-long path end is cut in each timing pass).
+	if n := stageCounter(res, stageConstraints, "constraints"); n != 1437 {
+		t.Errorf("%g constraints in the pool at Tclk, want 1437", n)
 	}
-	if n := len(res.Problem.Pool.Constraints().Cons); n != 1510 {
-		t.Errorf("%d constraints in the pool after LAC, want 1510", n)
+	if n := len(res.Problem.Pool.Constraints().Cons); n != 1577 {
+		t.Errorf("%d constraints in the pool after LAC, want 1577", n)
 	}
 	// FNV-1a over the labels written as "r0,r1,...,": a compact pin of all
 	// 665 labels.

@@ -20,7 +20,8 @@ import (
 // system's: the relaxation's optimal dual face contains the full system's,
 // both are difference-constraint lattices, and the relaxation's canonical
 // point lies in the smaller face. Answers therefore do not depend on which
-// cuts the pool happens to hold, so it may grow across solves and callers.
+// cuts the pool happens to hold, so it may grow across solves and callers,
+// and a timing pass may cut every too-long path it exposes at once.
 //
 // A CutPool is safe for concurrent use.
 type CutPool struct {
@@ -51,7 +52,7 @@ func NewCutPool(ctx context.Context, rg *Graph, T float64) (*CutPool, error) {
 	}
 	edge, pin := rg.EdgeConstraints(), rg.PinConstraints()
 	fs := newFeasSolver(rg, edge, pin)
-	_, ok, err := fs.probe(ctx, T)
+	_, _, ok, err := fs.probe(ctx, T)
 	if err != nil {
 		return nil, err
 	}
@@ -107,10 +108,10 @@ func (p *CutPool) Constraints() *Constraints {
 }
 
 // cut times the graph retimed by labeling r against the pool's period and
-// adds a cut for every path the labeling leaves too long, unless the pool
-// already holds one that implies it (a concurrent caller may have added
-// it). It returns the number of violated paths found: 0 means r meets the
-// period.
+// adds a cut for every vertex whose arrival exceeds it — the end of a path
+// the labeling leaves too long — unless the pool already holds one that
+// implies it (a concurrent caller may have added it). It returns the
+// number of violated paths found: 0 means r meets the period.
 //
 // The probe's warm labeling stays valid: it meets T, so it satisfies every
 // cut keyed above T's threshold.
