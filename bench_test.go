@@ -164,15 +164,20 @@ func BenchmarkTable1Parallel(b *testing.B)   { benchTable1(b, 0) }
 // constraints generated once; min-cost flow per weighted round). Each
 // MinPeriod iteration pays what a planning pass's periods stage pays: a
 // fresh solver, its cut pool grown from the edge and pin constraints, and
-// the probes.
+// the probes. It reports the search's timing passes and cuts, which are
+// deterministic.
 func BenchmarkMinPeriod(b *testing.B) {
 	r := plannedCircuit(b, "s526")
 	b.ResetTimer()
+	var st retime.ProbeStats
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := r.Graph.MinPeriod(context.Background(), 1e-3); err != nil {
+		var err error
+		if _, _, st, err = r.Graph.MinPeriod(context.Background(), 1e-3); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(st.CutRounds), "cut_rounds/op")
+	b.ReportMetric(float64(st.Cuts), "cuts/op")
 }
 
 // Extension ablation: fanout-sharing-aware min-area retiming (the
@@ -191,13 +196,13 @@ func BenchmarkSharingModel(b *testing.B) {
 // BenchmarkPoolMinArea times what the constraints and min-area stages run
 // at Tclk: one probe on a fresh feasibility solver, whose cut pool the
 // min-area cut loop then solves and grows until its labeling meets Tclk.
-// It reports the pool's cuts at Tclk and the loop's network rebuilds,
-// which are deterministic.
+// It reports the pool's cuts at Tclk, the probe's timing passes and the
+// loop's network rebuilds, which are deterministic.
 func BenchmarkPoolMinArea(b *testing.B) {
 	r := plannedCircuit(b, "s953")
 	b.ReportAllocs()
 	b.ResetTimer()
-	var cuts, rebuilds int
+	var cuts, rounds, rebuilds int
 	for i := 0; i < b.N; i++ {
 		pool, err := retime.NewCutPool(context.Background(), r.Graph, r.Tclk)
 		if err != nil {
@@ -208,9 +213,11 @@ func BenchmarkPoolMinArea(b *testing.B) {
 			b.Fatal(err)
 		}
 		cuts = int(pool.ProbeStats().Cuts) + ma.Cuts
+		rounds = pool.ProbeStats().CutRounds
 		rebuilds = ma.Rebuilds
 	}
 	b.ReportMetric(float64(cuts), "cuts/op")
+	b.ReportMetric(float64(rounds), "rounds/op")
 	b.ReportMetric(float64(rebuilds), "rebuilds/op")
 }
 

@@ -93,17 +93,28 @@ func (g *Digraph) OutDegree(v int) int { return len(g.out[v]) }
 // InDegree returns the number of edges entering v.
 func (g *Digraph) InDegree(v int) int { return len(g.in[v]) }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph. All out-lists share one backing
+// array and all in-lists another, each list capped at its length, so an
+// AddEdge on the clone reallocates the list it grows instead of writing
+// into its neighbor's.
 func (g *Digraph) Clone() *Digraph {
-	c := &Digraph{
+	return &Digraph{
 		n:     g.n,
 		edges: append([]Edge(nil), g.edges...),
-		out:   make([][]int, g.n),
-		in:    make([][]int, g.n),
+		out:   cloneLists(g.out, len(g.edges)),
+		in:    cloneLists(g.in, len(g.edges)),
 	}
-	for v := 0; v < g.n; v++ {
-		c.out[v] = append([]int(nil), g.out[v]...)
-		c.in[v] = append([]int(nil), g.in[v]...)
+}
+
+// cloneLists copies adjacency lists holding total indices into one
+// allocation.
+func cloneLists(lists [][]int, total int) [][]int {
+	c := make([][]int, len(lists))
+	buf := make([]int, 0, total)
+	for v, l := range lists {
+		at := len(buf)
+		buf = append(buf, l...)
+		c[v] = buf[at:len(buf):len(buf)]
 	}
 	return c
 }
