@@ -79,6 +79,10 @@ func benchLAC(b *testing.B, name string) {
 		}
 	}
 	// The flow engine's deterministic work per solve, beside the wall time.
+	// The planned Problem keeps no flow network, so the first solve runs
+	// round 0 cold and keeps its network; every later solve takes that
+	// round's answer without a flow solve, so round 0 adds no scans or
+	// labelings to them.
 	b.ReportMetric(float64(scans)/float64(b.N), "scans/op")
 	b.ReportMetric(float64(labelings)/float64(b.N), "labelings/op")
 }

@@ -241,6 +241,28 @@ func (g *Graph) freeze() {
 	g.start, g.arcs, g.fwd, g.pend = start, arcs, fwd, nil
 }
 
+// Clone returns an independent copy of a solved network: the residual
+// arcs (so the flow), the potentials, the imbalances and the supplies are
+// copied, while the frozen topology and the original capacities, which no
+// solve changes, are shared read-only. The next Resolve on the copy does
+// exactly what it would have done on g, and g stays as it is. The copy has
+// no context installed. Clone panics on a network that has not been
+// solved.
+func (g *Graph) Clone() *Graph {
+	if !g.inc {
+		panic("mcmf: Clone of a network that has not been solved")
+	}
+	return &Graph{
+		n: g.n, orig: g.orig, frozen: true,
+		start: g.start, arcs: append([]arc(nil), g.arcs...), fwd: g.fwd, inc: true,
+		pot:     append([]float64(nil), g.pot...),
+		excess:  append([]float64(nil), g.excess...),
+		supply:  append([]float64(nil), g.supply...),
+		pendSup: g.pendSup,
+		stats:   g.stats,
+	}
+}
+
 // tail returns the node arc position i leaves.
 func (g *Graph) tail(i int32) int32 { return g.arcs[g.arcs[i].rev].to }
 

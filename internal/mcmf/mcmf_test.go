@@ -956,3 +956,102 @@ func TestHeapPopsNondecreasing(t *testing.T) {
 		}
 	}
 }
+
+// TestCloneResolvesLikeOriginal clones random networks after their first
+// solve and runs one supply sequence on the clone first, then on the
+// original: every round must report the same stats, cost, flows and
+// potentials on both, so a clone continues exactly where the original
+// stood and solving it leaves the original untouched.
+func TestCloneResolvesLikeOriginal(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 40; trial++ {
+		n := 6 + rng.Intn(15)
+		g := New(n)
+		for v := 0; v < n; v++ {
+			g.AddArc(v, (v+1)%n, Inf, float64(3+rng.Intn(4)))
+		}
+		for k := 3 * n; k > 0; k-- {
+			capacity := float64(1 + rng.Intn(4))
+			if rng.Float64() < 0.3 {
+				capacity = Inf
+			}
+			g.AddArc(rng.Intn(n), rng.Intn(n), capacity, float64(rng.Intn(5)))
+		}
+		m := len(g.pend)
+		// Odd rounds move one unit pair, so they route a delta through
+		// the flow the previous round left (the clone's first round
+		// included); even rounds change most supplies and reset the flow.
+		supplies := make([][]float64, 7)
+		for round := range supplies {
+			s := make([]float64, n)
+			pairs := n
+			if round%2 == 1 {
+				copy(s, supplies[round-1])
+				pairs = 1
+			}
+			for k := 0; k < pairs; k++ {
+				u, v := rng.Intn(n), rng.Intn(n)
+				d := float64(1 + rng.Intn(3))
+				s[u] += d
+				s[v] -= d
+			}
+			supplies[round] = s
+		}
+		if _, err := solve(g, supplies[0]); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		type outcome struct {
+			cost  float64
+			st    SolveStats
+			flows []float64
+			pot   []float64
+		}
+		run := func(h *Graph) []outcome {
+			var out []outcome
+			for round, s := range supplies[1:] {
+				cost, err := solve(h, s)
+				if err != nil {
+					t.Fatalf("trial %d round %d: %v", trial, round+1, err)
+				}
+				o := outcome{cost: cost, st: h.Stats()}
+				for id := 0; id < m; id++ {
+					o.flows = append(o.flows, h.Flow(ArcID(id)))
+				}
+				pot, err := h.Potentials()
+				if err != nil {
+					t.Fatalf("trial %d round %d: potentials: %v", trial, round+1, err)
+				}
+				o.pot = append([]float64(nil), pot...)
+				out = append(out, o)
+			}
+			return out
+		}
+		clone := run(g.Clone())
+		orig := run(g)
+		for round := range orig {
+			c, o := clone[round], orig[round]
+			if c.cost != o.cost || c.st != o.st {
+				t.Fatalf("trial %d round %d: clone cost %g stats %+v, original %g %+v",
+					trial, round+1, c.cost, c.st, o.cost, o.st)
+			}
+			for id := range o.flows {
+				if c.flows[id] != o.flows[id] {
+					t.Fatalf("trial %d round %d: arc %d flow %g on the clone, %g on the original",
+						trial, round+1, id, c.flows[id], o.flows[id])
+				}
+			}
+			for v := range o.pot {
+				if c.pot[v] != o.pot[v] {
+					t.Fatalf("trial %d round %d: pot[%d] %g on the clone, %g on the original",
+						trial, round+1, v, c.pot[v], o.pot[v])
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Clone of an unsolved network did not panic")
+		}
+	}()
+	New(2).Clone()
+}

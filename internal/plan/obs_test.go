@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 
+	"lacret/internal/bench89"
+	"lacret/internal/core"
 	"lacret/internal/obs"
 )
 
@@ -99,8 +101,6 @@ func TestPlanObserved(t *testing.T) {
 		{"minarea", "mcmf-solve", 1},
 		{"minarea", "phase", 1},
 		{"lac", "lac-round", 1},
-		{"lac", "mcmf-solve", 1},
-		{"lac", "phase", 1},
 	} {
 		if n := countSpans(sub[c.stage], c.span); n < c.min {
 			t.Errorf("stage %s has %d %q sub-spans, want >= %d", c.stage, n, c.span, c.min)
@@ -261,6 +261,23 @@ func TestPlanObserved(t *testing.T) {
 			t.Error("lac-round span missing scans attr")
 		}
 	})
+	checkLACSpans(t, "tiny", res)
+
+	// A circuit whose LAC loop reweights: its later rounds solve flows.
+	p, _ := bench89.ByName("s953")
+	big, err := bench89.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iters, err = PlanIterationsContext(obs.NewContext(context.Background(), obs.NewRecorder()), big,
+		Config{Seed: p.Seed, Whitespace: 0.13, LAC: core.Options{Alpha: 0.2, Nmax: 5, MaxIters: 20}}, 1)
+	if err != nil || iters[0].Err != nil {
+		t.Fatal(err, iters[0].Err)
+	}
+	if nwr := iters[0].Result.LAC.NWR; nwr < 2 {
+		t.Fatalf("s953: LAC ran %d round(s), want a reweighted one", nwr)
+	}
+	checkLACSpans(t, "s953", iters[0].Result)
 
 	// The shared registry accumulated the work counters.
 	snap := rec.Registry().Snapshot()
@@ -277,6 +294,37 @@ func TestPlanObserved(t *testing.T) {
 	}
 	if got, want := snap.Counters["retime.probes"], int64(countSpans(sub["periods"], "probe")); got != want {
 		t.Errorf("retime.probes counter %d != probe span count %d", got, want)
+	}
+}
+
+// checkLACSpans checks where the lac stage's flow solves sit: round 0 is
+// the min-area stage's answer and solves nothing, every later round solves
+// at least once, and no solve runs outside a lac-round span.
+func checkLACSpans(t *testing.T, circuit string, res *Result) {
+	t.Helper()
+	var sub []*obs.Span
+	for _, ev := range res.Trace {
+		if ev.Stage == "lac" {
+			sub = ev.Sub
+		}
+	}
+	round, inRounds := 0, 0
+	forEachSpan(sub, "lac-round", func(sp *obs.Span) {
+		n := countSpans(sp.Children, "mcmf-solve")
+		if round == 0 && n != 0 || round > 0 && n == 0 {
+			t.Errorf("%s: lac round %d has %d mcmf-solve sub-spans", circuit, round, n)
+		}
+		round++
+		inRounds += n
+	})
+	if round != res.LAC.NWR {
+		t.Errorf("%s: %d lac-round spans for %d rounds", circuit, round, res.LAC.NWR)
+	}
+	if n := countSpans(sub, "mcmf-solve"); n != inRounds {
+		t.Errorf("%s: %d of stage lac's %d mcmf-solve sub-spans outside a lac-round", circuit, n-inRounds, n)
+	}
+	if n := countSpans(sub, "phase"); (n > 0) != (inRounds > 0) {
+		t.Errorf("%s: stage lac has %d phase sub-spans in %d flow solves", circuit, n, inRounds)
 	}
 }
 

@@ -171,7 +171,9 @@ func (minAreaStage) Counters(st *PlanState) []Counter {
 
 // lacStage runs the paper's contribution: LAC-retiming, a series of
 // adaptively re-weighted min-area retimings until the per-tile area
-// constraints hold or Nmax rounds bring no improvement.
+// constraints hold or Nmax rounds bring no improvement. Its first round is
+// the min-area stage's answer; once the loop is done the stage drops the
+// flow network the problem kept for it, so a finished Result holds none.
 type lacStage struct{}
 
 func (lacStage) Name() string { return stageLAC }
@@ -179,6 +181,7 @@ func (lacStage) Name() string { return stageLAC }
 func (lacStage) Run(ctx context.Context, st *PlanState, cfg *Config) error {
 	res := st.Result
 	lac, err := res.Problem.SolveContext(ctx, cfg.LAC)
+	res.Problem.Release()
 	if err != nil {
 		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 			return err

@@ -91,6 +91,13 @@ func (p *CutPool) Stats() PoolStats {
 // the pin constraints. The result is shared and must not be modified; a
 // later call returns a new system once cuts were added.
 func (p *CutPool) Constraints() *Constraints {
+	cs, _ := p.system()
+	return cs
+}
+
+// system is Constraints together with the number of cuts added after the
+// probe when that system was current, read under one lock.
+func (p *CutPool) system() (*Constraints, int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.cs == nil {
@@ -104,7 +111,7 @@ func (p *CutPool) Constraints() *Constraints {
 		}
 		p.cs = assemble(p.rg.N(), p.edge, clock, p.pin)
 	}
-	return p.cs
+	return p.cs, p.cuts
 }
 
 // cut times the graph retimed by labeling r against the pool's period and

@@ -293,12 +293,18 @@ func (rg *Graph) Apply(r []int) (*Graph, error) {
 	for i, e := range rg.g.Edges() {
 		w := e.W + r[e.To] - r[e.From]
 		if w < 0 {
-			return nil, fmt.Errorf("retime: edge %d (%s→%s) weight %d negative after retiming",
-				i, rg.name[e.From], rg.name[e.To], w)
+			return nil, rg.negativeWeight(i, w)
 		}
 		out.g.SetEdgeW(i, w)
 	}
 	return out, nil
+}
+
+// negativeWeight is the error for edge i retimed to weight w < 0.
+func (rg *Graph) negativeWeight(i, w int) error {
+	e := rg.g.Edge(i)
+	return fmt.Errorf("retime: edge %d (%s→%s) weight %d negative after retiming",
+		i, rg.name[e.From], rg.name[e.To], w)
 }
 
 // CheckFeasible verifies that labels r satisfy all edge-weight constraints

@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"testing"
+	"time"
 
+	"lacret/internal/bench89"
 	"lacret/internal/core"
 	"lacret/internal/job"
 	"lacret/internal/plan"
@@ -189,4 +192,159 @@ func TestLACAlphaOrderIndependent(t *testing.T) {
 			t.Errorf("%s: the sweep never grew the pool", circuit)
 		}
 	}
+}
+
+// TestLACReusesBaseline compares Solves that take the min-area baseline's
+// kept network as round 0 with Solves on a Problem that never ran the
+// baseline, over the planner benchmark's alpha grid on s641 and s1196.
+// The two sides are two identically planned states, so their cut pools
+// grow in lockstep. Answers and every round's flow work from round 1 on
+// must match; a reused round 0 reports no flow work. Once a solve grows
+// the pool, the kept network is stale: the next solve runs round 0 cold
+// and keeps a copy of it, which the solve after that reuses. A truncated
+// answer, and every other returned one, carries the graph its labeling
+// retimes, and plan.Plan keeps no network behind.
+func TestLACReusesBaseline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("catalog circuits in short mode")
+	}
+	alphas := []float64{0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0}
+	stale := 0
+	for _, circuit := range []string{"s641", "s1196"} {
+		st, cfg := planBeforeLAC(t, circuit)
+		ref, _ := planBeforeLAC(t, circuit)
+		p, rp := st.Result.Problem, ref.Result.Problem
+		keptAt := p.Pool.Stats().Cuts
+		for _, alpha := range alphas {
+			opt := cfg.LAC
+			opt.Alpha, opt.AlphaSet = alpha, true
+			key := fmt.Sprintf("%s@%g", circuit, alpha)
+			cutsNow := p.Pool.Stats().Cuts
+			got, err := p.Solve(opt)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			fresh := &core.Problem{Graph: rp.Graph, Tclk: rp.Tclk, TileOf: rp.TileOf, Cap: rp.Cap,
+				FFArea: rp.FFArea, Pool: rp.Pool}
+			want, err := fresh.Solve(opt)
+			if err != nil {
+				t.Fatalf("%s fresh: %v", key, err)
+			}
+			if g, w := pinOf(got), pinOf(want); g.String() != w.String() {
+				t.Fatalf("%s: reused %v, fresh %v", key, g, w)
+			}
+			if want.Iters[0].Phases == 0 {
+				t.Fatalf("%s: the fresh Problem's round 0 did no flow work", key)
+			}
+			reused := cutsNow == keptAt
+			if !reused {
+				stale++
+				keptAt = cutsNow
+			}
+			r0 := got.Iters[0]
+			noWork := core.IterStat{NFOA: r0.NFOA, Registers: r0.Registers, MaxRatio: r0.MaxRatio, Duration: r0.Duration}
+			if reused && r0 != noWork {
+				t.Fatalf("%s: reused round 0 reports flow work: %+v", key, r0)
+			}
+			if !reused && r0 != withDuration(want.Iters[0], r0.Duration) {
+				t.Fatalf("%s: cold round 0 %+v, fresh %+v", key, r0, want.Iters[0])
+			}
+			for i := 1; i < len(want.Iters); i++ {
+				if g, w := got.Iters[i], want.Iters[i]; g != withDuration(w, g.Duration) {
+					t.Fatalf("%s round %d: %+v, fresh %+v", key, i, g, w)
+				}
+			}
+			checkRetimed(t, key, p, got)
+			checkRetimed(t, key+" fresh", fresh, want)
+		}
+		if p.Pool.Stats().Cuts != rp.Pool.Stats().Cuts {
+			t.Fatalf("%s: pools grew apart: %d and %d cuts", circuit, p.Pool.Stats().Cuts, rp.Pool.Stats().Cuts)
+		}
+
+		// Truncation right after round 0: the answer is the baseline's.
+		base, err := p.MinAreaBaseline()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := cfg.LAC
+		opt.Alpha, opt.AlphaSet = 1, true
+		got, err := p.SolveContext(&errAfter{Context: context.Background(), calls: 1}, opt)
+		if err != nil {
+			t.Fatalf("%s truncated: %v", circuit, err)
+		}
+		if !got.Truncated || got.NWR != 1 || got.NF != base.NF || got.NFOA != base.NFOA {
+			t.Fatalf("%s truncated: %+v, baseline NF %d NFOA %d", circuit, got, base.NF, base.NFOA)
+		}
+		checkRetimed(t, circuit+" truncated", p, got)
+	}
+
+	// s1196's first LAC solve grows the pool.
+	if stale == 0 {
+		t.Error("no solve found the kept network stale")
+	}
+
+	// A planning pass keeps no flow network: a Solve on its Problem
+	// solves round 0 cold.
+	bp, _ := bench89.ByName("s641")
+	nl, err := bench89.Generate(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := core.Options{Alpha: 0.2, Nmax: 5, MaxIters: 20}
+	res, err := plan.Plan(nl, plan.Config{Seed: bp.Seed, Whitespace: 0.13, LAC: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := res.Problem.Solve(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Iters[0].Phases == 0 {
+		t.Error("plan.Plan left a kept network behind: round 0 reused it")
+	}
+}
+
+// withDuration returns it with its wall time replaced.
+func withDuration(it core.IterStat, d time.Duration) core.IterStat {
+	it.Duration = d
+	return it
+}
+
+// checkRetimed checks that a returned LAC answer's graph is its labeling
+// applied to the problem's graph, and that its tile counts are that
+// graph's.
+func checkRetimed(t *testing.T, key string, p *core.Problem, res *core.Result) {
+	t.Helper()
+	want, err := p.Graph.Apply(res.R)
+	if err != nil {
+		t.Fatalf("%s: %v", key, err)
+	}
+	if res.Retimed == nil || res.Retimed.M() != want.M() {
+		t.Fatalf("%s: returned graph %v", key, res.Retimed)
+	}
+	for i := 0; i < want.M(); i++ {
+		if res.Retimed.EdgeWeight(i) != want.EdgeWeight(i) {
+			t.Fatalf("%s: edge %d weight %d, applied labeling %d", key, i, res.Retimed.EdgeWeight(i), want.EdgeWeight(i))
+		}
+	}
+	if !slices.Equal(res.TileFF, p.TileFFCounts(res.Retimed)) {
+		t.Fatalf("%s: TileFF %v, retimed graph %v", key, res.TileFF, p.TileFFCounts(res.Retimed))
+	}
+}
+
+// errAfter is a context that reports itself cancelled once Err has been
+// asked calls times, so a solve stops at a chosen check.
+type errAfter struct {
+	context.Context
+	calls int
+}
+
+func (c *errAfter) Done() <-chan struct{} { return make(chan struct{}) }
+
+func (c *errAfter) Err() error {
+	if c.calls <= 0 {
+		return context.Canceled
+	}
+	c.calls--
+	return nil
 }

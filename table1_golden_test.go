@@ -75,8 +75,9 @@ func table1Passes(t *testing.T, name string) []table1Pass {
 
 // TestTable1Golden pins the Table 1 result columns of every Table 1
 // circuit, pass 1 and pass 2: Tclk, min-area and LAC N_FOA, N_F, N_FN and
-// N_wr. The nine circuits below s5378 plan in seconds; s5378 takes minutes
-// and runs only with LACRET_SMOKE set.
+// N_wr. The nine circuits below s5378 plan in about a second together;
+// s5378's two passes take several more (all ten ran in 7-8 s on 2 vCPUs)
+// and run only with LACRET_SMOKE set.
 func TestTable1Golden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("catalog circuits in short mode")
